@@ -10,7 +10,7 @@ from .constants import (DEFAULT_EDNS_PAYLOAD, DNS_OVER_TLS_PORT, DNS_PORT,
                         UDP_PAYLOAD_LIMIT, Flag, Opcode, RRClass, RRType,
                         Rcode)
 from .edns import Edns, EdnsOption
-from .message import Message, Question
+from .message import Message, Question, QuestionKey, question_key
 from .name import ROOT, Name, NameError_
 from .rdata import (AAAA, CAA, CNAME, DNSKEY, DS, MX, NAPTR, NS, NSEC, PTR,
                     RRSIG, SOA, SRV, TLSA, TXT, A, GenericRdata, Rdata,
@@ -25,9 +25,10 @@ __all__ = [
     "A", "AAAA", "AnswerKind", "CAA", "CNAME", "DEFAULT_EDNS_PAYLOAD",
     "DNSKEY", "DNS_OVER_TLS_PORT", "DNS_PORT", "DS", "Edns", "EdnsOption",
     "Flag", "GenericRdata", "LookupResult", "MX", "Message", "NS", "NSEC",
-    "NAPTR", "Name", "NameError_", "Opcode", "PTR", "Question", "ROOT", "RR", "TLSA",
+    "NAPTR", "Name", "NameError_", "Opcode", "PTR", "Question", "QuestionKey",
+    "ROOT", "RR", "TLSA",
     "RRClass", "RRSIG", "RRType", "RRset", "Rcode", "Rdata", "SOA", "SRV",
     "TXT", "UDP_PAYLOAD_LIMIT", "WireError", "WireReader", "WireWriter",
     "Zone", "ZoneError", "ZoneFileError", "dnssec", "make_soa", "parse_ttl",
-    "rdata_from_text", "read_zone", "write_zone",
+    "question_key", "rdata_from_text", "read_zone", "write_zone",
 ]

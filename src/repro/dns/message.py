@@ -250,3 +250,35 @@ class Message:
                  (Flag.QR, Flag.AA, Flag.TC, Flag.RD, Flag.RA, Flag.AD, Flag.CD)
                  if self.flags & flag]
         return " ".join(names) if names else "-"
+
+
+# (message id, lower-cased wire qname, qtype): what a query and its
+# response have in common, used to match one to the other.
+QuestionKey = Tuple[int, bytes, int]
+
+
+def question_key(wire) -> Optional[QuestionKey]:
+    """The correlation key of a DNS message, straight from its wire.
+
+    Reads only the header id and the first question's name and type.
+    The name stays in wire form (length-prefixed labels), lower-cased:
+    a query and its response key the same for every qname, escaped
+    bytes included, and distinct qnames never collide (``x\\.y.`` is one
+    label, ``x.y.`` two).  A question name is never compressed, so a
+    pointer means a malformed question.  Returns None for malformed or
+    question-less messages.
+    """
+    if len(wire) < 12 or not (wire[4] or wire[5]):
+        return None
+    end = 12
+    try:
+        length = wire[end]
+        while length:
+            if length > 63:
+                return None
+            end += length + 1
+            length = wire[end]
+        qtype = (wire[end + 1] << 8) | wire[end + 2]
+    except IndexError:
+        return None
+    return ((wire[0] << 8) | wire[1], bytes(wire[12:end + 1]).lower(), qtype)

@@ -35,7 +35,8 @@ from ..trace import (QueryMutator, QueryRecord, Trace, all_protocol,
 from .common import ExperimentOutput, Scale, SMOKE
 from .rootserver import SERVER_CORES, build_workload, make_signed_root, \
     RootRunConfig
-from ..netsim import ResourceMonitor, ServerResourceModel
+from ..netsim import ServerResourceModel
+from ..telemetry import ResourceTimeline, Telemetry, TelemetryConfig
 from .topology import build_evaluation_topology
 
 ATTACKER_ADDRESS = "10.66.6.6"
@@ -182,11 +183,13 @@ def run_attack(scale: Scale, attack: str, attack_multiplier: float,
                                  attacker.send_packet, packet)
             sequence += 1
 
-    monitor = ResourceMonitor(testbed.loop, resources,
-                              period=scale.monitor_period)
-    monitor.start()
+    # The resource series rides a telemetry sampler, as in rootserver.
+    telemetry = Telemetry(TelemetryConfig(
+        timeseries_period=scale.monitor_period))
+    telemetry.attach_loop(testbed.loop)
+    monitor = ResourceTimeline(telemetry.sampler, resources)
     testbed.loop.run_until(start + scale.duration + 5.0)
-    monitor.stop()
+    telemetry.stop()
 
     latencies = result.latencies()
     samples = monitor.steady_state(skip=scale.duration / 6) \

@@ -31,21 +31,16 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from ..dns import WireError
-from ..telemetry.tracing import wire_question_key
 from ..trace import QueryRecord, Trace
 from ..trace.stream import DEFAULT_READ_AHEAD, iter_shard_file
 from .distributor import StickyAssigner
 from .protocol import (MSG_END, MSG_RECORD, MSG_RECORD_SEQ, MSG_SHUTDOWN,
                        MSG_TIME_SYNC, MessageSocket, ProtocolError,
                        connected_pair)
+from .querier import MatchKey, match_key
 from .recovery import RecoveryConfig
 from .result import ReplayResult, SentQuery
 from .supervision import ReplayWatchdog, SupervisionConfig
-
-# Response-matching key, same shape as the sim querier's: matching on
-# the message id alone credits a duplicated/stale datagram with a
-# colliding id to the wrong query; the question section disambiguates.
-MatchKey = Tuple[int, str, int]
 
 ServerAddress = Tuple[str, int]
 
@@ -58,22 +53,20 @@ _AGGREGATE_PENDING_CAP = 1 << 16
 
 
 def _sent_key(message_id: int, record: QueryRecord) -> MatchKey:
+    """The key the response to ``record`` re-sent as ``message_id``
+    carries: the same question parser keys both directions."""
+    key = match_key(record.wire)
+    if key is None:
+        return (message_id, b"", 0)
+    return (message_id, key[1], key[2])
+
+
+def _qname_text(record: QueryRecord) -> str:
     try:
         question = record.question()
     except WireError:
         question = None
-    if question is None:
-        return (message_id, "-", 0)
-    return (message_id, question[0].to_text().lower(), int(question[1]))
-
-
-def _response_key(data: bytes) -> Optional[MatchKey]:
-    key = wire_question_key(data)
-    if key is not None:
-        return key
-    if len(data) < 2:
-        return None
-    return (int.from_bytes(data[:2], "big"), "-", 0)
+    return question[0].to_text().lower() if question is not None else "-"
 
 
 @dataclass
@@ -354,7 +347,8 @@ class _LiveQuerier(threading.Thread):
             index=index if index is not None else len(self.result.sent),
             source=record.src,
             trace_time=record.timestamp, scheduled_at=scheduled_at,
-            sent_at=time.monotonic(), protocol="udp", qname=key[1],
+            sent_at=time.monotonic(), protocol="udp",
+            qname=_qname_text(record),
             querier_id=self.querier_id)
         self._pending.setdefault(key, []).append(entry)
         self._answered.discard(key)
@@ -399,7 +393,7 @@ class _LiveQuerier(threading.Thread):
                 data = self._sock.recv(65535)
             except (BlockingIOError, OSError):
                 return
-            key = _response_key(data)
+            key = match_key(data)
             waiting = self._pending.get(key) if key is not None else None
             if waiting:
                 entry = waiting.pop(0)

@@ -11,33 +11,46 @@ already crosses process boundaries by construction, so the tiers
 themselves (:class:`_LiveDistributor`, :class:`_LiveQuerier`) run
 unmodified inside the workers.
 
-Life of a run:
+Every run — a streamed trace (:meth:`ProcessTopology.replay`), a
+self-sourced shard-file set (:meth:`ProcessTopology.replay_shard_files`)
+or either in self-healing mode (``config.recovery``) — goes through one
+run path:
 
-1. the controller binds a loopback control listener and spawns one
-   process per distributor; each distributor binds its own querier
-   listener and reports the port in a HELLO frame;
-2. the controller spawns one process per querier, wired to its
-   distributor's port; queriers HELLO back over the control channel;
-3. the trace is streamed exactly as in thread mode — time-sync first,
-   then records sharded sticky-by-source over the distributors, each of
-   which re-shards sticky-by-source over its queriers;
-4. when a querier finishes (END received, queue drained, settle
-   elapsed) it serializes its local :class:`ReplayResult` shard and
-   :class:`MetricsRegistry` snapshot back over the control channel
-   (RESULT + METRICS frames); distributors do the same for their
-   routing counters;
-5. the controller merges every shard (``ReplayResult.merge``) and every
-   metrics snapshot (``MetricsRegistry.merge_state``) into one
-   aggregate, sends SHUTDOWN, and reaps the processes.
+1. **spawn** (``_spawn_tree``): the controller binds a loopback control
+   listener and spawns one process per distributor; each binds its own
+   querier listener and reports the port in a HELLO frame.  Then one
+   process per querier, wired to its distributor's port, HELLOs back.
+   ``_worker_process`` is the only place a worker's argv is built, for
+   first spawns and respawns alike;
+2. **read**: one reader thread per worker control link
+   (``_reader_loop``) lands TELEMETRY in the live cluster view,
+   CHECKPOINTs in the recovery store and the final RESULT + METRICS
+   pair on the worker's handle.  At EOF it decides whether the worker
+   really died with its shard outstanding — then the worker is failed
+   and its crash recorded, and in recovery mode respawned;
+3. **run** (``_run``): start the watchdog, anchor the clock with
+   TIME_SYNC, stream the records sharded sticky-by-source over the
+   distributors (each re-shards over its queriers; shard-file
+   distributors read their own file instead), send END, wait for the
+   RESULTs until the deadline, and merge every shard
+   (``ReplayResult.merge``) and metrics snapshot
+   (``MetricsRegistry.merge_state``) into one aggregate;
+4. **teardown** (``_teardown``, shared with :class:`ShardTopology`):
+   SHUTDOWN, close, reap.
+
+Recovery mode changes only the steps that must differ: records travel
+as RECORD_SEQ (tagged with their global trace index), END waits for
+the exactly-once drain, dead workers are respawned and late HELLOs
+adopted, and the merge is ``merge_recovered`` over the checkpoint store.
 
 Supervision: each worker is watched through a :class:`_WorkerHandle`
 (``is_alive`` = the OS process) by the same
 :class:`~repro.replay.supervision.ReplayWatchdog`; a dead process with
 its shard outstanding is flagged immediately, its routes fail over via
-``StickyAssigner.remove`` (the distributor's broken-pipe path), and the
-collection phase skips it instead of hanging.  A wall-clock deadline
-propagates as SHUTDOWN frames down the tree so queriers shed their
-queues and report truthful ``deadline_shed`` counts.
+``StickyAssigner.remove`` (the distributor's broken-pipe path), and
+collection stops waiting for it.  A wall-clock deadline propagates as
+SHUTDOWN frames down the tree so queriers shed their queues and report
+truthful ``deadline_shed`` counts.
 """
 
 from __future__ import annotations
@@ -616,12 +629,6 @@ class UdpEchoServerProcess:
 # Controller
 # ---------------------------------------------------------------------------
 
-# Stands in for a shard already folded into the controller result
-# (streaming merge): non-None, so has_work()/collection see the worker
-# as reported, without keeping the per-worker frame alive.
-_DRAINED = ReplayResult("drained", aggregate=True)
-
-
 class _WorkerHandle:
     """Controller-side view of one worker process (watchdog subject)."""
 
@@ -717,6 +724,20 @@ class ProcessTopology:
         self.cluster: Optional[ClusterAggregator] = None
         self._deadline_hit = False
         self._lock = threading.Lock()
+        # Run state, filled in by _spawn_tree.
+        self._processes: List = []
+        self._listener: Optional[socket.socket] = None
+        self._distributor_extra = None
+        self._aggregate = False
+        # Recovery-mode state: the exactly-once checkpoint store, the
+        # respawn budget and the handles respawns have replaced.
+        self._store = (CheckpointStore() if self.config.recovery is not None
+                       else None)
+        self._pending_processes: Dict[Tuple[int, int, int], object] = {}
+        self._respawn_counts: Dict[Tuple[int, int], int] = {}
+        self._respawns_total = 0
+        self._closing = threading.Event()
+        self._retired_handles: List[_WorkerHandle] = []
 
     def server_for(self, querier_id: int) -> ServerAddress:
         return self.servers[querier_id % len(self.servers)]
@@ -747,6 +768,16 @@ class ProcessTopology:
                                       reason="watchdog stall")
         handle.control.close()
 
+    def _handle_stall_recovering(self, handle: _WorkerHandle) -> None:
+        """Watchdog verdict in recovery mode: dead or wedged.  Make death
+        unambiguous (terminate a wedged process) and close the control
+        link so the reader exits into the respawn path."""
+        with self._lock:
+            self.result.watchdog_stalls += 1
+        if handle.is_alive():
+            handle.process.terminate()
+        handle.control.close()
+
     def _handle_deadline(self) -> None:
         """Propagate the wall-clock budget down the tree as SHUTDOWN."""
         self._deadline_hit = True
@@ -756,90 +787,99 @@ class ProcessTopology:
             except OSError:
                 pass
 
-    # -- setup helpers -----------------------------------------------------
+    # -- setup -------------------------------------------------------------
 
-    def _accept_hello(self, listener: socket.socket,
-                      expected_role: int) -> _WorkerHandle:
-        return _accept_hello(listener, expected_role)
+    def _worker_process(self, role: int, worker_id: int,
+                        incarnation: int = 0, listen_port: int = 0):
+        """Build (not start) one worker's Process.
+
+        The only place a worker's argv is assembled: first spawns and
+        respawns alike.  A querier dials its distributor's current
+        listen port; a respawned distributor rebinds ``listen_port``.
+        """
+        config = self.config
+        tconfig = self._stream_config()
+        if role == ROLE_DISTRIBUTOR:
+            target, kind = _distributor_main, "distributor"
+            args = (self._control_addr, worker_id,
+                    config.queriers_per_distributor, config.recovery,
+                    incarnation, listen_port, tconfig)
+            if self._distributor_extra is not None:
+                args += tuple(self._distributor_extra(worker_id))
+        else:
+            target, kind = _querier_main, "querier"
+            distributor = self.distributor_handles[
+                worker_id // config.queriers_per_distributor]
+            deadline = (config.supervision.deadline
+                        if config.supervision is not None else None)
+            args = (self._control_addr, worker_id,
+                    ("127.0.0.1", distributor.listen_port),
+                    self.server_for(worker_id), deadline, config.recovery,
+                    incarnation, tconfig, self._aggregate)
+        suffix = f"r{incarnation}" if incarnation else ""
+        return self._ctx.Process(target=target, args=args, daemon=True,
+                                 name=f"replay-{kind}-{worker_id}{suffix}")
 
     def _spawn_tree(self, num_distributors: int,
                     distributor_extra=None,
-                    aggregate: bool = False) -> List:
+                    aggregate: bool = False) -> None:
         """Spawn distributors + queriers and HELLO them in.
 
         ``distributor_extra(i)`` appends streaming arguments (shard
         file path, read-ahead, pacing) to distributor *i*'s argv;
         ``aggregate`` switches the queriers to O(1) result accounting.
-        Returns the process list (distributors first, queriers after).
+        In recovery mode the control listener stays open for the run so
+        respawned and reconnecting workers can re-HELLO.
         """
         config = self.config
+        recovery = config.recovery
         tconfig = self._stream_config()
         if tconfig is not None:
             self.cluster = _make_aggregator(tconfig)
-        ctx = _mp_context(config.start_method)
-        querier_total = (num_distributors
-                         * config.queriers_per_distributor)
-        processes = []
+        self._ctx = _mp_context(config.start_method)
+        self._distributor_extra = distributor_extra
+        self._aggregate = aggregate
+        hello_timeout = (_SETUP_TIMEOUT if recovery is None
+                         else recovery.hello_timeout)
+        querier_total = num_distributors * config.queriers_per_distributor
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
             listener.bind(("127.0.0.1", 0))
-            listener.listen(num_distributors + querier_total)
-            listener.settimeout(_SETUP_TIMEOUT)
-            control_addr = listener.getsockname()
-
-            # Tier 1: distributor processes; HELLO carries each one's
-            # querier-listener port.
-            for distributor_id in range(num_distributors):
-                args = (control_addr, distributor_id,
-                        config.queriers_per_distributor,
-                        None, 0, 0, tconfig)
-                if distributor_extra is not None:
-                    args = args + tuple(distributor_extra(distributor_id))
-                process = ctx.Process(
-                    target=_distributor_main, args=args,
-                    daemon=True, name=f"replay-distributor-{distributor_id}")
-                process.start()
-                processes.append(process)
-            by_id: Dict[int, _WorkerHandle] = {}
-            for _ in range(num_distributors):
-                handle = self._accept_hello(listener, ROLE_DISTRIBUTOR)
-                handle.process = processes[handle.worker_id]
-                by_id[handle.worker_id] = handle
-            self.distributor_handles = [by_id[i]
-                                        for i in range(num_distributors)]
-
-            # Tier 2: querier processes, each wired to its distributor.
-            deadline = (config.supervision.deadline
-                        if config.supervision is not None else None)
-            for querier_id in range(querier_total):
-                distributor_id = (querier_id
-                                  // config.queriers_per_distributor)
-                distributor_port = \
-                    self.distributor_handles[distributor_id].listen_port
-                process = ctx.Process(
-                    target=_querier_main,
-                    args=(control_addr, querier_id,
-                          ("127.0.0.1", distributor_port),
-                          self.server_for(querier_id), deadline,
-                          None, 0, tconfig, aggregate),
-                    daemon=True, name=f"replay-querier-{querier_id}")
-                process.start()
-                processes.append(process)
-            by_id = {}
-            for _ in range(querier_total):
-                handle = self._accept_hello(listener, ROLE_QUERIER)
-                handle.process = \
-                    processes[num_distributors + handle.worker_id]
-                by_id[handle.worker_id] = handle
-            self.querier_handles = [by_id[i] for i in range(querier_total)]
+            listener.listen(num_distributors + querier_total + 4)
+            listener.settimeout(hello_timeout)
+            self._control_addr = listener.getsockname()
+            # Tier 1 first: each distributor's HELLO carries the
+            # querier-listener port tier 2 dials.
+            self.distributor_handles = self._spawn_tier(
+                listener, ROLE_DISTRIBUTOR, num_distributors, hello_timeout)
+            self.querier_handles = self._spawn_tier(
+                listener, ROLE_QUERIER, querier_total, hello_timeout)
         except Exception:
-            for process in processes:
+            self._closing.set()
+            for process in self._processes:
                 if process.is_alive():
                     process.terminate()
-            raise
-        finally:
             listener.close()
-        return processes
+            raise
+        if recovery is None:
+            listener.close()
+        else:
+            self._listener = listener
+
+    def _spawn_tier(self, listener: socket.socket, role: int, count: int,
+                    hello_timeout: float) -> List[_WorkerHandle]:
+        processes = []
+        for worker_id in range(count):
+            process = self._worker_process(role, worker_id)
+            process.start()
+            processes.append(process)
+            self._processes.append(process)
+        by_id: Dict[int, _WorkerHandle] = {}
+        for _ in range(count):
+            handle = _accept_hello(listener, role, hello_timeout)
+            handle.process = processes[handle.worker_id]
+            by_id[handle.worker_id] = handle
+        return [by_id[i] for i in range(count)]
 
     # -- the run -----------------------------------------------------------
 
@@ -847,111 +887,15 @@ class ProcessTopology:
         records = sorted(trace.records, key=lambda r: r.timestamp)
         if not records:
             return self.result
-        if self.config.recovery is not None:
-            return self._replay_recovering(records)
         config = self.config
-        processes = self._spawn_tree(
-            config.distributors, aggregate=config.aggregate_results)
-
-        handles = self.querier_handles + self.distributor_handles
-        if self.cluster is not None:
-            # Streaming mode: frames arrive *during* the run, so every
-            # handle gets a dedicated reader thread and collection
-            # becomes a wait instead of a read (one reader per socket).
-            for handle in handles:
-                self._start_stream_reader(handle)
-        if config.supervision is not None:
-            self.watchdog = ReplayWatchdog(
-                config.supervision, handles,
-                on_stall=self._handle_stall,
-                on_deadline=self._handle_deadline)
-            self.watchdog.start()
-
-        # Reader + Postman: time-sync broadcast, then the sharded stream.
-        assigner = StickyAssigner(self.distributor_handles)
+        # Recovery merges per-query checkpoints: its queriers never
+        # account in aggregate.
+        self._spawn_tree(config.distributors,
+                         aggregate=(config.aggregate_results
+                                    and config.recovery is None))
         trace_start = records[0].timestamp
-        self.result.trace_start = trace_start
-        time.sleep(config.start_delay)
-        self.result.start_clock = time.monotonic()
-        if self.cluster is not None:
-            self.cluster.set_anchor(self.result.start_clock)
-        for handle in self.distributor_handles:
-            handle.control.send_time_sync(trace_start)
-        streamed = 0
-        for record in records:
-            if self._deadline_hit:
-                # Stop feeding the tree; everything not yet streamed is
-                # shed here (queued records shed inside the queriers).
-                self.result.deadline_shed += len(records) - streamed
-                break
-            while assigner.entities:
-                handle = assigner.assign(record.src)
-                try:
-                    handle.control.send_record(record)
-                    streamed += 1
-                    break
-                except OSError:   # distributor died: fail its sources over
-                    assigner.remove(handle)
-                    with self._lock:
-                        self.result.reassigned_queries += 1
-            else:
-                with self._lock:
-                    self.result.send_failures += 1
-        for handle in self.distributor_handles:
-            try:
-                handle.control.send_end()
-            except OSError:
-                pass
-
-        # Collection: every worker reports RESULT + METRICS when done.
-        duration = records[-1].timestamp - trace_start
-        deadline = time.monotonic() + duration \
-            + config.settle_time + 10.0
-        supervision = config.supervision
-        if supervision is not None and supervision.deadline is not None:
-            deadline = min(deadline, self.result.start_clock
-                           + supervision.deadline
-                           + supervision.stall_timeout + 10.0)
-        for handle in handles:
-            self._collect(handle, deadline)
-        if self.watchdog is not None:
-            self.watchdog.stop()
-            self.watchdog.join(timeout=1.0)
-
-        # Merge shards deterministically: queriers in id order, then
-        # distributor routing counters.
-        lost = 0
-        for handle in handles:
-            if handle.shard is not None:
-                self.result.merge(handle.shard)
-            else:
-                lost += 1
-            if handle.metrics_state is not None:
-                self.metrics.merge_state(handle.metrics_state)
-        if lost:
-            self.metrics.incr("multiproc.lost_shards", lost)
-        self.metrics.incr("multiproc.workers", len(handles))
-        telemetry = self.telemetry
-        if telemetry is not None:
-            # Per-query tracing cannot cross the process boundary; the
-            # merged counter/histogram snapshots are the process-mode
-            # telemetry surface.
-            telemetry.metrics.merge(self.metrics)
-
-        # Teardown: SHUTDOWN, close, reap.
-        for handle in handles:
-            try:
-                handle.control.send_shutdown()
-            except OSError:
-                pass
-            handle.control.close()
-        for process in processes:
-            process.join(timeout=2.0)
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=2.0)
-        return self.result
+        return self._run(trace_start, records[-1].timestamp - trace_start,
+                         records)
 
     def replay_shard_files(self, directory: str, read_ahead: int = 2048,
                            pace_lead: float = 2.0) -> ReplayResult:
@@ -965,122 +909,206 @@ class ProcessTopology:
         it lazily with ``read_ahead`` records of decode-ahead, pacing
         routing ``pace_lead`` seconds ahead of the replay clock so no
         tier ever buffers the trace.  Queriers account in aggregate
-        mode, so RESULT frames stay a few KB at any scale and are
-        merged into the controller result the moment they arrive
-        instead of being buffered per worker.
+        mode, so RESULT frames stay a few KB at any scale.
         """
         if self.config.recovery is not None:
             raise ValueError(
                 "shard-file streaming does not support recovery mode")
         manifest = read_manifest(directory)
-        num_shards = manifest["num_shards"]
         self.result = ReplayResult("distributed-process", aggregate=True)
         if not manifest["total_records"]:
             return self.result
-        config = self.config
 
         def streaming_args(index: int):
             return (shard_path(directory, index, manifest),
                     read_ahead, pace_lead)
 
-        processes = self._spawn_tree(num_shards,
-                                     distributor_extra=streaming_args,
-                                     aggregate=True)
+        self._spawn_tree(manifest["num_shards"],
+                         distributor_extra=streaming_args, aggregate=True)
+        self.metrics.incr("multiproc.trace_records",
+                          manifest["total_records"])
+        trace_start = manifest["first_timestamp"]
+        return self._run(trace_start,
+                         manifest["last_timestamp"] - trace_start,
+                         lead=pace_lead)
+
+    def _run(self, trace_start: float, duration: float,
+             records=None, lead: float = 0.0) -> ReplayResult:
+        """The one run body behind every entry point.
+
+        Supervise, anchor the clock, stream ``records`` (None: the
+        distributors self-source shard files and the control stream is
+        just TIME_SYNC + END), send END, wait for every RESULT until the
+        deadline, merge, tear down.  Recovery mode adds its own steps:
+        controller-side chaos, the late-HELLO accept loop, RECORD_SEQ
+        framing, the exactly-once drain before END and the
+        ``merge_recovered`` merge.
+        """
+        config = self.config
+        recovery = config.recovery
         handles = self.querier_handles + self.distributor_handles
-        if self.cluster is not None:
-            for handle in handles:
-                self._start_stream_reader(handle)
         if config.supervision is not None:
             self.watchdog = ReplayWatchdog(
                 config.supervision, handles,
-                on_stall=self._handle_stall,
+                on_stall=(self._handle_stall if recovery is None
+                          else self._handle_stall_recovering),
                 on_deadline=self._handle_deadline)
             self.watchdog.start()
-
-        trace_start = manifest["first_timestamp"]
+        self._assigner = StickyAssigner(self.distributor_handles)
         self.result.trace_start = trace_start
+        if recovery is not None:
+            # Controller-side chaos acts on the record stream to the
+            # distributors; the controller itself never crash-faults.
+            for handle in self.distributor_handles:
+                attach_chaos(handle.control, recovery.chaos, handle.role,
+                             handle.worker_id, handle.incarnation,
+                             controller_side=True)
+            # Short accept timeout from here on: the accept loop must
+            # wake often enough to notice shutdown.
+            self._listener.settimeout(0.25)
+            accept_thread = threading.Thread(
+                target=self._accept_loop, daemon=True,
+                name="replay-recovery-accept")
+            accept_thread.start()
+        for handle in handles:
+            self._start_reader(handle)
+
+        # Reader + Postman: time-sync broadcast, then the sharded stream.
         time.sleep(config.start_delay)
         self.result.start_clock = time.monotonic()
         if self.cluster is not None:
             self.cluster.set_anchor(self.result.start_clock)
-        # The whole control stream: TIME_SYNC anchors the tree, END
-        # closes it.  Records never cross these sockets — each
-        # distributor reads its own shard file.  A dead distributor
-        # surfaces through lost-shard accounting below.
         for handle in self.distributor_handles:
             try:
                 handle.control.send_time_sync(trace_start)
+            except OSError:
+                pass
+        for index, record in enumerate(records or ()):
+            if self._deadline_hit:
+                # Stop feeding the tree; everything not yet streamed is
+                # shed here (queued records shed inside the queriers).
+                self.result.deadline_shed += len(records) - index
+                break
+            self._send_record(index, record)
+
+        if recovery is not None:
+            # Exactly-once drain: withhold END until the checkpoint
+            # store accounts for every streamed index, re-streaming
+            # lost records in bounded redelivery rounds.
+            drain_deadline = time.monotonic() + duration \
+                + config.settle_time + recovery.collect_timeout
+            if not self._deadline_hit:
+                self._drain_exactly_once(records, drain_deadline)
+            # From here on worker death is no longer recoverable work
+            # loss (everything is checkpointed), so stop respawning and
+            # let the tree wind down.
+            self._closing.set()
+        for handle in self.distributor_handles:
+            try:
                 handle.control.send_end()
             except OSError:
                 pass
 
-        duration = manifest["last_timestamp"] - trace_start
-        deadline = time.monotonic() + duration + pace_lead \
-            + config.settle_time + 10.0
-        supervision = config.supervision
-        if supervision is not None and supervision.deadline is not None:
-            deadline = min(deadline, self.result.start_clock
-                           + supervision.deadline
-                           + supervision.stall_timeout + 10.0)
-        # Streaming merge: fold each worker's aggregate frame into the
-        # controller result as it is collected, then drop it — the
-        # controller holds O(1) state however many workers report.
-        lost = 0
-        for handle in handles:
-            self._collect(handle, deadline)
-            with self._lock:
-                if handle.shard is not None:
-                    self.result.merge(handle.shard)
-                    handle.shard = _DRAINED
-                else:
-                    lost += 1
-                if handle.metrics_state is not None:
-                    self.metrics.merge_state(handle.metrics_state)
-                    handle.metrics_state = {}
+        # Collection: every worker reports RESULT + METRICS when done.
+        if recovery is None:
+            deadline = time.monotonic() + duration + lead \
+                + config.settle_time + 10.0
+            supervision = config.supervision
+            if supervision is not None and supervision.deadline is not None:
+                deadline = min(deadline, self.result.start_clock
+                               + supervision.deadline
+                               + supervision.stall_timeout + 10.0)
+        else:
+            deadline = min(drain_deadline,
+                           time.monotonic() + config.settle_time + 8.0)
+        self._await_results(deadline)
         if self.watchdog is not None:
             self.watchdog.stop()
             self.watchdog.join(timeout=1.0)
+        if recovery is not None:
+            self._listener.close()
+            accept_thread.join(timeout=2.0)
+
+        # Merge: respawns may have replaced slots, so re-read them.
+        handles = self.querier_handles + self.distributor_handles
+        if recovery is None:
+            # Deterministic order: queriers in id order, then the
+            # distributors' routing counters.
+            for handle in handles:
+                if handle.shard is not None:
+                    self.result.merge(handle.shard)
+        else:
+            self._merge_recovered()
+        for handle in handles + self._retired_handles:
+            if handle.metrics_state is not None:
+                self.metrics.merge_state(handle.metrics_state)
+        lost = sum(1 for handle in handles if handle.shard is None)
         if lost:
             self.metrics.incr("multiproc.lost_shards", lost)
         self.metrics.incr("multiproc.workers", len(handles))
-        self.metrics.incr("multiproc.trace_records",
-                          manifest["total_records"])
+        if self._respawns_total:
+            self.metrics.incr("multiproc.respawns", self._respawns_total)
         telemetry = self.telemetry
         if telemetry is not None:
+            # Per-query tracing cannot cross the process boundary; the
+            # merged counter/histogram snapshots are the process-mode
+            # telemetry surface.
             telemetry.metrics.merge(self.metrics)
 
-        for handle in handles:
-            try:
-                handle.control.send_shutdown()
-            except OSError:
-                pass
+        for handle in self._retired_handles:
             handle.control.close()
-        for process in processes:
-            process.join(timeout=2.0)
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=2.0)
+        _teardown(handles, self._processes)
         return self.result
 
-    def _collect(self, handle: _WorkerHandle, deadline: float) -> None:
-        if self.cluster is not None:
-            self._await_worker(handle, deadline)
-        else:
-            _collect_worker(handle, deadline)
+    def _send_record(self, index: int, record) -> None:
+        """Route one record sticky-by-source, failing over dead
+        distributors; recovery mode tags it with its trace index."""
+        sequenced = self.config.recovery is not None
+        while self._assigner.entities:
+            handle = self._assigner.assign(record.src)
+            try:
+                if sequenced:
+                    handle.control.send_record_seq(index, record)
+                else:
+                    handle.control.send_record(record)
+                return
+            except OSError:   # distributor died: fail its sources over
+                self._assigner.remove(handle)
+                with self._lock:
+                    self.result.reassigned_queries += 1
+        with self._lock:
+            self.result.send_failures += 1
 
-    # -- streaming-mode readers (classic path, cluster is not None) --------
+    def _await_results(self, deadline: float) -> None:
+        """Wait for every live slot's RESULT/METRICS pair (the reader
+        threads land them); whoever has not reported by the deadline
+        is failed."""
+        while time.monotonic() < deadline:
+            with self._lock:
+                if all(handle.failed or (handle.shard is not None
+                                         and handle.metrics_state is not None)
+                       for handle in (self.querier_handles
+                                      + self.distributor_handles)):
+                    return
+            time.sleep(0.02)
+        with self._lock:
+            for handle in self.querier_handles + self.distributor_handles:
+                if handle.shard is None or handle.metrics_state is None:
+                    handle.failed = True
 
-    def _start_stream_reader(self, handle: _WorkerHandle) -> None:
+    # -- the reader (one thread per worker control link, every mode) -------
+
+    def _start_reader(self, handle: _WorkerHandle) -> None:
         thread = threading.Thread(
-            target=self._stream_reader, args=(handle, handle.control),
-            daemon=True, name=f"stream-reader-{handle.name}")
+            target=self._reader_loop, args=(handle, handle.control),
+            daemon=True, name=f"reader-{handle.name}@{handle.incarnation}")
         thread.start()
 
-    def _stream_reader(self, handle: _WorkerHandle,
-                       control: MessageSocket) -> None:
-        """Per-worker reader: TELEMETRY feeds the aggregator live, the
-        final RESULT/METRICS pair lands on the handle for collection."""
+    def _reader_loop(self, handle: _WorkerHandle,
+                     control: MessageSocket) -> None:
+        """TELEMETRY feeds the aggregator live, CHECKPOINTs the store,
+        and the final RESULT/METRICS pair lands on the handle."""
+        key = (handle.role, handle.worker_id)
         while True:
             try:
                 message = control.receive()
@@ -1090,219 +1118,85 @@ class ProcessTopology:
                 break
             kind, payload = message
             if kind == MSG_TELEMETRY:
-                self.cluster.ingest(payload)
+                # Aggregation has its own lock; never holds self._lock,
+                # so the stream cannot stall checkpoint dispatch.
+                if self.cluster is not None:
+                    self.cluster.ingest(payload)
                 continue
             with self._lock:
-                if kind == MSG_RESULT:
+                if kind == MSG_CHECKPOINT and self._store is not None:
+                    self._store.offer_frame(key, payload)
+                elif kind == MSG_RESULT:
                     handle.shard = ReplayResult.from_dict(payload)
+                    if self._store is not None:
+                        # The final RESULT outranks every checkpoint of
+                        # the same incarnation regardless of arrival.
+                        self._store.offer(key, handle.incarnation, 0,
+                                          payload, final=True)
                 elif kind == MSG_METRICS:
                     handle.metrics_state = payload
-        # Reader EOF with the shard outstanding: if the process is
-        # really dead this is a crash — freeze its flight recorder.
+        self._reader_eof(handle, control)
+
+    def _reader_eof(self, handle: _WorkerHandle,
+                    control: MessageSocket) -> None:
+        """A control link closed.  If the worker really died with its
+        shard outstanding, fail it and record the crash; in recovery
+        mode, respawn it within the budget until the run winds down."""
+        if handle.control is not control:
+            return   # replaced by a same-incarnation reconnect
+        recovery = self.config.recovery
+        if recovery is None and self.watchdog is not None:
+            return   # the watchdog owns the verdict (_handle_stall)
         if handle.shard is not None:
-            return
-        process = handle.process
-        if process is not None:
-            process.join(timeout=1.0)
-            if process.is_alive():
-                return   # dropped socket on a live worker; deadline rules
+            return   # reported: a normal exit
+        if handle.process is not None:
+            handle.process.join(timeout=1.5)
+            if handle.process.is_alive():
+                return   # live worker, dropped socket: re-dials or deadline
+        respawn = False
         with self._lock:
             if handle.failed or handle.shard is not None:
                 return
             handle.failed = True
-        self.cluster.record_crash(handle.role, handle.worker_id,
-                                  handle.incarnation)
-
-    def _await_worker(self, handle: _WorkerHandle,
-                      deadline: float) -> None:
-        """Streaming-mode collection: the reader thread owns the socket,
-        so wait for it to land the RESULT/METRICS pair (or fail)."""
-        while time.monotonic() < deadline:
-            with self._lock:
-                if handle.failed or (handle.shard is not None
-                                     and handle.metrics_state is not None):
-                    return
-            time.sleep(0.02)
-        with self._lock:
-            if handle.shard is None or handle.metrics_state is None:
-                handle.failed = True
+            winding_down = recovery is None or self._closing.is_set()
+            if not winding_down:
+                key = (handle.role, handle.worker_id)
+                attempts = self._respawn_counts.get(key, 0)
+                respawn = (
+                    attempts < recovery.respawn.max_per_worker
+                    and self._respawns_total < recovery.respawn.max_total)
+                if respawn:
+                    self._respawn_counts[key] = attempts + 1
+                    self._respawns_total += 1
+                    self.result.respawns += 1
+                else:
+                    self.result.watchdog_stalls += 1
+        if self.cluster is not None:
+            self.cluster.record_crash(handle.role, handle.worker_id,
+                                      handle.incarnation,
+                                      reason="process died")
+        if winding_down:
+            return
+        if handle.role == ROLE_DISTRIBUTOR:
+            self._assigner.remove(handle)
+        if respawn:
+            threading.Thread(
+                target=self._respawn_worker,
+                args=(handle, attempts, handle.incarnation + 1),
+                daemon=True, name=f"respawn-{handle.name}").start()
 
     # -- self-healing mode (config.recovery is set) ------------------------
     #
-    # Differences from the classic run above: the control listener stays
-    # open for the whole run so respawned/reconnecting workers can
-    # re-HELLO; every worker gets a dedicated reader thread (CHECKPOINT
-    # frames arrive *during* the replay, not just at collection);
-    # records are streamed as RECORD_SEQ so every send is attributable
-    # to a global trace index; END is withheld until the checkpoint
-    # store accounts for every index (with bounded redelivery rounds
-    # re-streaming lost ones); and the final merge is the exactly-once
-    # merge_recovered over the store instead of the re-indexing
-    # ReplayResult.merge.
+    # What recovery adds to the run above: records travel as RECORD_SEQ
+    # so every send is attributable to a global trace index; END is
+    # withheld until the checkpoint store accounts for every index (with
+    # bounded redelivery rounds re-streaming lost ones); dead workers
+    # are respawned and late HELLOs adopted; and the final merge is the
+    # exactly-once merge_recovered over the store instead of the
+    # re-indexing ReplayResult.merge.
 
-    def _replay_recovering(self, records) -> ReplayResult:
-        config = self.config
-        recovery = config.recovery
-        self._tconfig = self._stream_config()
-        if self._tconfig is not None:
-            self.cluster = _make_aggregator(self._tconfig)
-        self._ctx = _mp_context(config.start_method)
-        querier_total = (config.distributors
-                         * config.queriers_per_distributor)
-        self._store = CheckpointStore()
-        self._processes: List = []
-        self._pending_processes: Dict[Tuple[int, int, int], object] = {}
-        self._respawn_counts: Dict[Tuple[int, int], int] = {}
-        self._respawns_total = 0
-        self._closing = threading.Event()
-        self._retired_handles: List[_WorkerHandle] = []
-        self._deadline_arg = (config.supervision.deadline
-                              if config.supervision is not None else None)
-
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener = listener
-        try:
-            listener.bind(("127.0.0.1", 0))
-            listener.listen(config.distributors + querier_total + 4)
-            listener.settimeout(recovery.hello_timeout)
-            self._control_addr = listener.getsockname()
-
-            for distributor_id in range(config.distributors):
-                process = self._ctx.Process(
-                    target=_distributor_main,
-                    args=(self._control_addr, distributor_id,
-                          config.queriers_per_distributor, recovery, 0, 0,
-                          self._tconfig),
-                    daemon=True, name=f"replay-distributor-{distributor_id}")
-                process.start()
-                self._processes.append(process)
-            by_id: Dict[int, _WorkerHandle] = {}
-            for _ in range(config.distributors):
-                handle = _accept_hello(listener, ROLE_DISTRIBUTOR,
-                                       recovery.hello_timeout)
-                handle.process = self._processes[handle.worker_id]
-                by_id[handle.worker_id] = handle
-            self.distributor_handles = [by_id[i]
-                                        for i in range(config.distributors)]
-
-            for querier_id in range(querier_total):
-                distributor_id = (querier_id
-                                  // config.queriers_per_distributor)
-                distributor_port = \
-                    self.distributor_handles[distributor_id].listen_port
-                process = self._ctx.Process(
-                    target=_querier_main,
-                    args=(self._control_addr, querier_id,
-                          ("127.0.0.1", distributor_port),
-                          self.server_for(querier_id), self._deadline_arg,
-                          recovery, 0, self._tconfig),
-                    daemon=True, name=f"replay-querier-{querier_id}")
-                process.start()
-                self._processes.append(process)
-            by_id = {}
-            for _ in range(querier_total):
-                handle = _accept_hello(listener, ROLE_QUERIER,
-                                       recovery.hello_timeout)
-                handle.process = \
-                    self._processes[config.distributors + handle.worker_id]
-                by_id[handle.worker_id] = handle
-            self.querier_handles = [by_id[i] for i in range(querier_total)]
-        except Exception:
-            self._closing.set()
-            for process in self._processes:
-                if process.is_alive():
-                    process.terminate()
-            listener.close()
-            raise
-
-        # Controller-side chaos acts on the record stream to the
-        # distributors; the controller itself never crash-faults.
-        for handle in self.distributor_handles:
-            attach_chaos(handle.control, recovery.chaos, handle.role,
-                         handle.worker_id, handle.incarnation,
-                         controller_side=True)
-        for handle in self.distributor_handles + self.querier_handles:
-            self._start_reader(handle)
-        # Short accept timeout from here on: the accept loop must wake
-        # often enough to notice shutdown.
-        listener.settimeout(0.25)
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, daemon=True,
-            name="replay-recovery-accept")
-        self._accept_thread.start()
-
-        if config.supervision is not None:
-            self.watchdog = ReplayWatchdog(
-                config.supervision,
-                self.querier_handles + self.distributor_handles,
-                on_stall=self._handle_stall_recovering,
-                on_deadline=self._handle_deadline)
-            self.watchdog.start()
-
-        # Reader + Postman with global indices.
-        self._assigner = StickyAssigner(self.distributor_handles)
-        trace_start = records[0].timestamp
-        self._trace_start_value = trace_start
-        self.result.trace_start = trace_start
-        time.sleep(config.start_delay)
-        self.result.start_clock = time.monotonic()
-        if self.cluster is not None:
-            self.cluster.set_anchor(self.result.start_clock)
-        for handle in self.distributor_handles:
-            try:
-                handle.control.send_time_sync(trace_start)
-            except OSError:
-                pass
-        streamed = 0
-        for index, record in enumerate(records):
-            if self._deadline_hit:
-                self.result.deadline_shed += len(records) - streamed
-                break
-            self._send_record_seq(index, record)
-            streamed += 1
-
-        # Exactly-once drain: withhold END until the checkpoint store
-        # accounts for every streamed index, re-streaming lost records
-        # in bounded redelivery rounds.
-        duration = records[-1].timestamp - trace_start
-        drain_deadline = time.monotonic() + duration \
-            + config.settle_time + recovery.collect_timeout
-        if not self._deadline_hit:
-            self._drain_exactly_once(records, streamed, drain_deadline)
-
-        # From here on worker death is no longer recoverable work loss
-        # (everything is checkpointed), so stop respawning and let the
-        # tree wind down.
-        self._closing.set()
-        for handle in self.distributor_handles:
-            try:
-                handle.control.send_end()
-            except OSError:
-                pass
-
-        final_deadline = min(drain_deadline,
-                             time.monotonic() + config.settle_time + 8.0)
-        while time.monotonic() < final_deadline:
-            with self._lock:
-                pending = [h for h in (self.querier_handles
-                                       + self.distributor_handles)
-                           if h.shard is None and not h.failed
-                           and h.is_alive()]
-            if not pending:
-                break
-            time.sleep(0.05)
-
-        if self.watchdog is not None:
-            self.watchdog.stop()
-            self.watchdog.join(timeout=1.0)
-        listener.close()
-        self._accept_thread.join(timeout=2.0)
-
-        return self._finish_recovering()
-
-    def _finish_recovering(self) -> ReplayResult:
-        """Merge the store exactly-once, fold counters, tear down."""
-        handles = self.querier_handles + self.distributor_handles
+    def _merge_recovered(self) -> None:
+        """Merge the store exactly-once; fold controller-side counters."""
         with self._lock:
             snapshots = self._store.snapshots()
         merged = merge_recovered(snapshots, name=self.result.name)
@@ -1318,42 +1212,9 @@ class ProcessTopology:
                 else min(merged.start_clock, self.result.start_clock)
         self.result = merged
 
-        lost = 0
-        for handle in handles + self._retired_handles:
-            if handle.metrics_state is not None:
-                self.metrics.merge_state(handle.metrics_state)
-        for handle in handles:
-            if handle.shard is None:
-                lost += 1
-        if lost:
-            self.metrics.incr("multiproc.lost_shards", lost)
-        self.metrics.incr("multiproc.workers", len(handles))
-        if self._respawns_total:
-            self.metrics.incr("multiproc.respawns", self._respawns_total)
-        telemetry = self.telemetry
-        if telemetry is not None:
-            telemetry.metrics.merge(self.metrics)
-
-        for handle in handles:
-            try:
-                handle.control.send_shutdown()
-            except OSError:
-                pass
-            handle.control.close()
-        for handle in self._retired_handles:
-            handle.control.close()
-        for process in self._processes:
-            process.join(timeout=2.0)
-        for process in self._processes:
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=2.0)
-        return self.result
-
-    def _drain_exactly_once(self, records, streamed: int,
-                            drain_deadline: float) -> None:
+    def _drain_exactly_once(self, records, drain_deadline: float) -> None:
         recovery = self.config.recovery
-        expected = set(range(streamed))
+        expected = set(range(len(records)))
         rounds = 0
         last_size = -1
         last_progress = time.monotonic()
@@ -1389,7 +1250,7 @@ class ProcessTopology:
             redeliver = sorted((expected - sent)
                                | self._stale_unanswered(expected))
             for index in redeliver:
-                self._send_record_seq(index, records[index])
+                self._send_record(index, records[index])
             with self._lock:
                 self.result.redelivered_records += len(redeliver)
             last_progress = time.monotonic()
@@ -1406,61 +1267,7 @@ class ProcessTopology:
             sent = self._store.sent_indices()
         return (sent & expected) - answered - live_sent
 
-    def _send_record_seq(self, index: int, record) -> bool:
-        while self._assigner.entities:
-            handle = self._assigner.assign(record.src)
-            try:
-                handle.control.send_record_seq(index, record)
-                return True
-            except OSError:
-                self._assigner.remove(handle)
-                with self._lock:
-                    self.result.reassigned_queries += 1
-        with self._lock:
-            self.result.send_failures += 1
-        return False
-
-    # -- reader / adoption / respawn ---------------------------------------
-
-    def _start_reader(self, handle: _WorkerHandle) -> None:
-        thread = threading.Thread(
-            target=self._reader_loop, args=(handle, handle.control),
-            daemon=True, name=f"reader-{handle.name}@{handle.incarnation}")
-        thread.start()
-
-    def _reader_loop(self, handle: _WorkerHandle,
-                     control: MessageSocket) -> None:
-        key = (handle.role, handle.worker_id)
-        while True:
-            try:
-                message = control.receive()
-            except (ProtocolError, OSError):
-                break
-            if message is None:
-                break
-            kind, payload = message
-            if kind == MSG_TELEMETRY:
-                # Aggregation has its own lock; never holds self._lock,
-                # so the stream cannot stall checkpoint dispatch.
-                if self.cluster is not None:
-                    self.cluster.ingest(payload)
-                continue
-            with self._lock:
-                if kind == MSG_CHECKPOINT:
-                    self._store.offer_frame(key, payload)
-                elif kind == MSG_RESULT:
-                    handle.shard = ReplayResult.from_dict(payload)
-                    # The final RESULT outranks every checkpoint of the
-                    # same incarnation regardless of arrival order.
-                    self._store.offer(key, handle.incarnation, 0,
-                                      payload, final=True)
-                elif kind == MSG_METRICS:
-                    handle.metrics_state = payload
-        # Reader gone: either this socket was replaced by a reconnect
-        # (handle.control moved on — not our problem) or the worker
-        # died and the self-healing path takes over.
-        if handle.control is control and not self._closing.is_set():
-            self._maybe_respawn(handle)
+    # -- adoption / respawn ------------------------------------------------
 
     def _accept_loop(self) -> None:
         recovery = self.config.recovery
@@ -1510,78 +1317,20 @@ class ProcessTopology:
                          newcomer.role, newcomer.worker_id,
                          newcomer.incarnation, controller_side=True)
             try:
-                newcomer.control.send_time_sync(self._trace_start_value)
+                newcomer.control.send_time_sync(self.result.trace_start)
             except OSError:
                 pass
             self._assigner.add(newcomer)
         self._start_reader(handle)
 
-    def _maybe_respawn(self, handle: _WorkerHandle) -> None:
-        """A worker's control link died.  Respawn it if it is really
-        dead, its shard is outstanding, and the budget allows."""
-        if handle.process is not None:
-            handle.process.join(timeout=1.5)
-            if handle.process.is_alive():
-                return   # live worker with a dropped socket: it re-dials
-        recovery = self.config.recovery
-        key = (handle.role, handle.worker_id)
-        with self._lock:
-            if (self._closing.is_set() or handle.failed
-                    or handle.shard is not None):
-                return
-            handle.failed = True
-            attempts = self._respawn_counts.get(key, 0)
-            budget_left = (
-                attempts < recovery.respawn.max_per_worker
-                and self._respawns_total < recovery.respawn.max_total)
-            if budget_left:
-                self._respawn_counts[key] = attempts + 1
-                self._respawns_total += 1
-                self.result.respawns += 1
-            else:
-                self.result.watchdog_stalls += 1
-        if self.cluster is not None:
-            self.cluster.record_crash(handle.role, handle.worker_id,
-                                      handle.incarnation,
-                                      reason="process died")
-        if handle.role == ROLE_DISTRIBUTOR:
-            self._assigner.remove(handle)
-        if not budget_left:
-            return
-        thread = threading.Thread(
-            target=self._respawn_worker,
-            args=(handle, attempts, handle.incarnation + 1),
-            daemon=True, name=f"respawn-{handle.name}")
-        thread.start()
-
     def _respawn_worker(self, handle: _WorkerHandle, attempt: int,
                         incarnation: int) -> None:
-        config = self.config
-        recovery = config.recovery
+        recovery = self.config.recovery
         time.sleep(recovery.respawn.backoff(attempt))
         if self._closing.is_set():
             return
-        if handle.role == ROLE_QUERIER:
-            distributor_id = (handle.worker_id
-                              // config.queriers_per_distributor)
-            port = self.distributor_handles[distributor_id].listen_port
-            process = self._ctx.Process(
-                target=_querier_main,
-                args=(self._control_addr, handle.worker_id,
-                      ("127.0.0.1", port),
-                      self.server_for(handle.worker_id),
-                      self._deadline_arg, recovery, incarnation,
-                      self._tconfig),
-                daemon=True,
-                name=f"replay-querier-{handle.worker_id}r{incarnation}")
-        else:
-            process = self._ctx.Process(
-                target=_distributor_main,
-                args=(self._control_addr, handle.worker_id,
-                      config.queriers_per_distributor, recovery,
-                      incarnation, handle.listen_port, self._tconfig),
-                daemon=True,
-                name=f"replay-distributor-{handle.worker_id}r{incarnation}")
+        process = self._worker_process(handle.role, handle.worker_id,
+                                       incarnation, handle.listen_port)
         pending_key = (handle.role, handle.worker_id, incarnation)
         with self._lock:
             if self._closing.is_set():
@@ -1620,15 +1369,21 @@ class ProcessTopology:
             self.result.respawns += 1
         self._respawn_worker(handle, attempts, incarnation + 1)
 
-    def _handle_stall_recovering(self, handle: _WorkerHandle) -> None:
-        """Watchdog verdict: dead or wedged.  Make death unambiguous
-        (terminate a wedged process) and close the control link so the
-        reader exits into the respawn path."""
-        with self._lock:
-            self.result.watchdog_stalls += 1
-        if handle.is_alive():
-            handle.process.terminate()
+
+def _teardown(handles: Sequence[_WorkerHandle], processes: Sequence) -> None:
+    """SHUTDOWN every worker, close its link, reap (terminate stragglers)."""
+    for handle in handles:
+        try:
+            handle.control.send_shutdown()
+        except OSError:
+            pass
         handle.control.close()
+    for process in processes:
+        process.join(timeout=2.0)
+    for process in processes:
+        if process.is_alive():
+            process.terminate()
+            process.join(timeout=2.0)
 
 
 def _collect_worker(handle: _WorkerHandle, deadline: float,
@@ -1801,18 +1556,7 @@ class ShardTopology:
             self.result.respawns += self.respawns
             self.metrics.incr("multiproc.respawns", self.respawns)
 
-        for handle in self.shard_handles:
-            try:
-                handle.control.send_shutdown()
-            except OSError:
-                pass
-            handle.control.close()
-        for process in processes:
-            process.join(timeout=2.0)
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=2.0)
+        _teardown(self.shard_handles, processes)
         return self.result
 
     def _respawn_failed_shards(self, ctx, processes, control_addr,

@@ -13,7 +13,7 @@ multi-process deployment need:
             | RECORD      (binary trace record body)
             | END         (no payload; stream complete)
             | HELLO       (u8 role, u16 worker id, u16 listen port,
-                           u16 incarnation — legacy 5-byte form accepted)
+                           u16 incarnation)
             | RESULT      (JSON ReplayResult shard)
             | METRICS     (JSON MetricsRegistry state)
             | SHUTDOWN    (no payload; stop now, shed queued work)
@@ -75,8 +75,7 @@ ROLE_SHARD = 3      # self-sourcing simulation shard (ShardTopology)
 MAX_FRAME = 64 * 1024 * 1024
 
 _FRAME_HEADER = struct.Struct("!IB")
-_HELLO = struct.Struct("!BHH")          # legacy: role, worker id, port
-_HELLO_V2 = struct.Struct("!BHHH")      # + u16 incarnation (respawn count)
+_HELLO = struct.Struct("!BHHH")   # role, worker id, port, incarnation
 _RECORD_SEQ = struct.Struct("!I")
 
 Message = Tuple[int, Union[float, QueryRecord, dict, tuple, None]]
@@ -354,7 +353,7 @@ class MessageSocket:
     def send_hello(self, role: int, worker_id: int,
                    listen_port: int = 0, incarnation: int = 0) -> None:
         self._send(MSG_HELLO,
-                   _HELLO_V2.pack(role, worker_id, listen_port, incarnation))
+                   _HELLO.pack(role, worker_id, listen_port, incarnation))
 
     def send_result(self, shard: dict) -> None:
         self._send(MSG_RESULT, json.dumps(shard).encode("utf-8"))
@@ -441,10 +440,7 @@ class MessageSocket:
             return (MSG_END, None)
         if kind == MSG_HELLO:
             try:
-                if len(payload) == _HELLO.size:   # legacy: incarnation 0
-                    fields = _HELLO.unpack(payload) + (0,)
-                else:
-                    fields = _HELLO_V2.unpack(payload)
+                fields = _HELLO.unpack(payload)
             except struct.error as exc:
                 raise ProtocolError(f"bad HELLO payload: {exc}")
             _require(fields[0] in (ROLE_DISTRIBUTOR, ROLE_QUERIER,

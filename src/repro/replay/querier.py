@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..dns import DNS_OVER_TLS_PORT, DNS_PORT, Message, Rcode, WireError
+from ..dns import (DNS_OVER_TLS_PORT, DNS_PORT, QuestionKey, Rcode,
+                   question_key)
 from ..netsim import (EventLoop, Host, NetworkError, RetryPolicy,
                       SessionCache, TcpConnection, TcpOptions, TcpStack,
                       Timer, TlsEndpoint, UdpSocket)
@@ -30,10 +31,10 @@ from ..trace import QueryRecord
 from .result import ReplayResult, SentQuery
 from .supervision import AimdPacer, PacingConfig
 
-# Response-matching key: (message id, qname, qtype).  Matching on the id
-# alone mismatches when two in-flight queries share an id on one
+# Response-matching key: (message id, wire qname, qtype).  Matching on
+# the id alone mismatches when two in-flight queries share an id on one
 # connection; the question section disambiguates, as a real stub does.
-MatchKey = Tuple[int, str, int]
+MatchKey = QuestionKey
 
 # Presentation-format qnames memoized on question-section bytes, shared
 # across queriers (the distributor spreads the same sources over many).
@@ -42,27 +43,15 @@ _QNAME_MEMO: Dict[bytes, str] = {}
 _QNAME_MEMO_LIMIT = 1 << 16
 
 
-def _record_key(record: QueryRecord) -> MatchKey:
-    message_id = int.from_bytes(record.wire[:2], "big")
-    question = record.question()
-    if question is None:
-        return (message_id, "-", 0)
-    return (message_id, question[0].to_text().lower(), int(question[1]))
-
-
-def _response_key(wire: bytes) -> Optional[MatchKey]:
+def match_key(wire: bytes) -> Optional[MatchKey]:
+    """The question key of a query or response wire; a question-less
+    or malformed message keys on its id alone (None under 2 bytes)."""
+    key = question_key(wire)
+    if key is not None:
+        return key
     if len(wire) < 2:
         return None
-    message_id = int.from_bytes(wire[:2], "big")
-    try:
-        message = Message.from_wire(wire)
-    except WireError:
-        return None
-    if not message.question:
-        return (message_id, "-", 0)
-    question = message.question[0]
-    return (message_id, question.name.to_text().lower(),
-            int(question.rrtype))
+    return (int.from_bytes(wire[:2], "big"), b"", 0)
 
 
 @dataclass
@@ -136,7 +125,7 @@ class _StreamChannel:
 
     def send(self, record: QueryRecord, entry: SentQuery) -> None:
         self.ever_used = True
-        key = _record_key(record)
+        key = match_key(record.wire)
         self.pending.setdefault(key, []).append((entry, record))
         self._answered.discard(key)
         if self.querier.config.send_highwater is not None \
@@ -167,7 +156,7 @@ class _StreamChannel:
 
     def _on_bytes(self, data: bytes) -> None:
         for wire in self.framer.feed(data):
-            key = _response_key(wire)
+            key = match_key(wire)
             waiting = self.pending.get(key) if key is not None else None
             if waiting:
                 entry, _record = waiting.pop(0)

@@ -22,9 +22,10 @@ here is ever constructed.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
+
+from ..dns import QuestionKey, question_key
 
 
 @dataclass
@@ -69,49 +70,18 @@ class TelemetryConfig:
 # track names the actor lane ("querier:3", "server", "net").
 TraceEvent = Tuple[float, str, Optional[int], str, str, Optional[dict]]
 
-QueryKey = Tuple[int, str, int]
+# The correlation key straight from wire bytes, without a Message: the
+# network layer tags packets without paying for a full decode.
+wire_question_key = question_key
 
 
-def message_key(message) -> Optional[QueryKey]:
+def message_key(message) -> Optional[QuestionKey]:
     """The correlation key of a decoded :class:`repro.dns.Message`."""
     if not message.question:
         return None
     question = message.question[0]
-    return (message.msg_id, question.name.to_text().lower(),
+    return (message.msg_id, question.name.to_wire().lower(),
             int(question.rrtype))
-
-
-def wire_question_key(wire: bytes) -> Optional[QueryKey]:
-    """The correlation key straight from wire bytes, without a Message.
-
-    Parses only the header id and the first question (no decompression —
-    question names are never compressed), so the network layer can tag
-    packets without paying for a full decode.  Returns None for
-    malformed or question-less packets.
-    """
-    if len(wire) < 12:
-        return None
-    msg_id, _flags, qdcount = struct.unpack_from("!HHH", wire, 0)
-    if qdcount < 1:
-        return None
-    labels: List[str] = []
-    offset = 12
-    try:
-        while True:
-            length = wire[offset]
-            offset += 1
-            if length == 0:
-                break
-            if length > 63:  # compression pointer: not a plain question
-                return None
-            labels.append(
-                wire[offset:offset + length].decode("ascii", "replace"))
-            offset += length
-        (qtype,) = struct.unpack_from("!H", wire, offset)
-    except (IndexError, struct.error):
-        return None
-    name = ".".join(labels).lower() + "." if labels else "."
-    return (msg_id, name, qtype)
 
 
 class QueryTracer:
@@ -125,7 +95,7 @@ class QueryTracer:
         self.dropped_events = 0
         self.spans_begun = 0
         self.spans_ended = 0
-        self._keys: Dict[QueryKey, int] = {}
+        self._keys: Dict[QuestionKey, int] = {}
         self._open: set = set()
 
     # -- correlation ------------------------------------------------------
@@ -133,7 +103,7 @@ class QueryTracer:
     def sampled(self, qid: int) -> bool:
         return self.sample_every == 1 or qid % self.sample_every == 0
 
-    def register_key(self, key: Optional[QueryKey], qid: int) -> None:
+    def register_key(self, key: Optional[QuestionKey], qid: int) -> None:
         """Remember ``key -> qid`` so later layers can attribute events.
 
         Retransmissions re-register the same key; the latest send wins,
@@ -142,7 +112,7 @@ class QueryTracer:
         if key is not None:
             self._keys[key] = qid
 
-    def qid_for(self, key: Optional[QueryKey]) -> Optional[int]:
+    def qid_for(self, key: Optional[QuestionKey]) -> Optional[int]:
         if key is None:
             return None
         return self._keys.get(key)

@@ -111,6 +111,8 @@ def _truncate(rng: random.Random, wire: bytes) -> bytes:
     return wire[:rng.randrange(1, len(wire))]
 
 def _flip_bits(rng: random.Random, wire: bytes) -> bytes:
+    if not wire:
+        return wire   # an earlier truncation emptied it: no bit to flip
     data = bytearray(wire)
     for _ in range(rng.randrange(1, 4)):
         data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
@@ -242,9 +244,9 @@ def frame_seed_corpus() -> List[bytes]:
         _frame(2, b""),                             # empty RECORD
         _frame(3, b""),                             # END
         _frame(3, b"junk"),                         # END with payload
-        _frame(4, struct.pack("!BHH", 1, 3, 0)),    # valid HELLO (legacy v1)
-        _frame(4, struct.pack("!BHHH", 2, 3, 0, 1)),  # HELLO v2 incarnation
-        _frame(4, struct.pack("!BHH", 9, 3, 0)),    # bad role
+        _frame(4, struct.pack("!BHHH", 1, 3, 0, 0)),  # valid HELLO
+        _frame(4, struct.pack("!BHHH", 2, 3, 0, 1)),  # HELLO incarnation
+        _frame(4, struct.pack("!BHHH", 9, 3, 0, 0)),  # bad role
         _frame(4, b"\x01"),                         # short HELLO
         _frame(8, checkpoint),                      # valid CHECKPOINT
         _frame(8, b'{"worker": 1}'),                # CHECKPOINT no seq

@@ -98,15 +98,15 @@ class TestControlFrames:
         assert payload == (ROLE_QUERIER, 7, 5353, 3)
         sender.close(), receiver.close()
 
-    def test_legacy_hello_defaults_incarnation(self):
-        # A 5-byte v1 HELLO (no incarnation field) must still decode.
+    def test_legacy_hello_rejected(self):
+        # The 5-byte HELLO without an incarnation field is not a frame
+        # any sender emits; it is malformed, not incarnation 0.
         sender, receiver = connected_pair()
         sender._socket.sendall(
             _HEADER.pack(1 + 5, MSG_HELLO)
             + struct.pack("!BHH", ROLE_QUERIER, 7, 5353))
-        kind, payload = receiver.receive()
-        assert kind == MSG_HELLO
-        assert payload == (ROLE_QUERIER, 7, 5353, 0)
+        with pytest.raises(ProtocolError, match="bad HELLO payload"):
+            receiver.receive()
         sender.close(), receiver.close()
 
     def test_result_roundtrip(self):
@@ -389,7 +389,8 @@ class TestSchemaValidation:
     def test_bad_hello_role_rejected(self):
         sender, receiver = connected_pair()
         sender._socket.sendall(
-            _HEADER.pack(1 + 5, MSG_HELLO) + struct.pack("!BHH", 9, 0, 0))
+            _HEADER.pack(1 + 7, MSG_HELLO)
+            + struct.pack("!BHHH", 9, 0, 0, 0))
         with pytest.raises(ProtocolError, match="HELLO role 9"):
             receiver.receive()
         sender.close(), receiver.close()

@@ -4,18 +4,25 @@ Covers the ISSUE acceptance differential (a streamed replay must be
 *identical* to the in-memory path on the same trace) plus the
 shard-file process topology: distributors self-sourcing chunked shard
 files with bounded read-ahead, queriers accounting in aggregate mode,
-and the controller streaming-merging few-KB RESULT frames.
+and the controller merging few-KB RESULT frames.
 """
+
+import os
+import signal
+import threading
+import time
 
 import pytest
 
 from repro.replay import (DistributedConfig, LiveDistributedReplay,
-                          LiveUdpEchoServer, ProcessTopology, SimReplayEngine)
+                          LiveUdpEchoServer, ProcessTopology, SimReplayEngine,
+                          SupervisionConfig)
 from repro.replay.result import ReplayResult
 from repro.experiments import build_evaluation_topology
 from repro.experiments.fig6_timing import wildcard_example_zone
 from repro.server import (AuthoritativeServer, HostedDnsServer,
                           TransportConfig)
+from repro.telemetry import Telemetry, TelemetryConfig
 from repro.trace import (BRootWorkload, QueryMutator, fixed_interval_trace,
                          make_root_zone, retarget, scale_time, split_shards)
 
@@ -131,6 +138,68 @@ class TestShardFileTopology:
         topology = ProcessTopology(("127.0.0.1", 1), streaming_config())
         result = topology.replay_shard_files(directory)
         assert result.aggregate and len(result) == 0
+
+
+def kill_first_querier(topology, after: float) -> None:
+    """SIGKILL querier 0 ``after`` seconds into its life."""
+    deadline = time.monotonic() + 10.0
+    while not topology.querier_handles and time.monotonic() < deadline:
+        time.sleep(0.02)
+    time.sleep(after)
+    victim = topology.querier_handles[0]
+    if victim.pid is not None:
+        os.kill(victim.pid, signal.SIGKILL)
+
+
+class TestShardFileWorkerLoss:
+    @pytest.mark.chaos
+    @pytest.mark.parametrize("observer", ["watchdog", "reader"])
+    def test_sigkilled_querier_lost_survivors_conserved(self, tmp_path,
+                                                        observer):
+        """One querier SIGKILLed mid-run: collection stops waiting for
+        it, it is the one lost shard, and the merge is exactly what the
+        survivors reported.  With a watchdog the stall verdict is its;
+        without one the reader's EOF records the crash."""
+        trace = fixed_interval_trace(0.01, 2.0, client_count=16,
+                                     name="stream-kill")
+        directory, _ = shard_directory(tmp_path, trace, 2)
+        if observer == "watchdog":
+            config = streaming_config(supervision=SupervisionConfig(
+                heartbeat_interval=0.05, stall_timeout=10.0))
+            telemetry = None
+        else:
+            config = streaming_config()
+            telemetry = Telemetry(TelemetryConfig(stream_period=0.1))
+        with LiveUdpEchoServer() as server:
+            topology = ProcessTopology((server.address, server.port),
+                                       config, telemetry=telemetry)
+            killer = threading.Thread(target=kill_first_querier,
+                                      args=(topology, 0.6), daemon=True)
+            killer.start()
+            started = time.monotonic()
+            result = topology.replay_shard_files(directory, pace_lead=0.5)
+            elapsed = time.monotonic() - started
+            killer.join(timeout=1.0)
+        # The collection deadline is trace (2 s) + lead + settle + 10 s.
+        assert elapsed < 9.0
+        state = topology.metrics.to_state()
+        assert state["counts"]["multiproc.lost_shards"] == 1
+        if observer == "watchdog":
+            assert result.watchdog_stalls == 1
+        else:
+            assert [report["worker"] for report
+                    in topology.cluster.crash_reports()] == ["querier-0"]
+        survivors = [handle for handle in topology.querier_handles
+                     if handle.shard is not None]
+        assert [handle.worker_id for handle in survivors] == [1, 2, 3]
+        assert result.sent_count == sum(handle.shard.sent_count
+                                        for handle in survivors)
+        assert result.answered_count == sum(handle.shard.answered_count
+                                            for handle in survivors)
+        assert 0 < result.sent_count <= len(trace)
+        assert state["counts"]["replay.records_sent"] == result.sent_count
+        # Every record was routed once, failing over off the dead querier.
+        assert state["counts"]["replay.records_routed"] == len(trace)
 
 
 class TestAggregateTopologies:

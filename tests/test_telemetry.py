@@ -170,6 +170,8 @@ class TestQueryKeys:
         ("www.example.com.", RRType.A),
         ("MiXeD.Example.COM.", RRType.AAAA),
         (".", RRType.NS),
+        ("a\\032b.example.com.", RRType.A),
+        ("x\\.y.example.com.", RRType.A),
     ])
     def test_wire_key_matches_message_key(self, qname, qtype):
         message = Message.make_query(Name.from_text(qname), qtype,
