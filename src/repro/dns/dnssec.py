@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import rdata as rd
 from .constants import RRClass, RRType
@@ -193,14 +193,3 @@ def sign_zone(zone: Zone, config: Optional[SigningConfig] = None) -> Zone:
         signed.add_rr(RR(rrset.name, rrset.ttl, rrset.rrclass,
                          make_rrsig(rrset, signer)))
     return signed
-
-
-def signed_response_overhead(config: SigningConfig) -> Dict[str, int]:
-    """Rough per-response byte overhead each signature adds; used by
-    documentation and sanity tests, not by the experiments themselves."""
-    zsk = Key(Name.from_text("."), config.zsk_bits)
-    rrsig_fixed = 18  # type..key_tag fields
-    return {
-        "signature_bytes": zsk.signature_size,
-        "rrsig_rdata_bytes": rrsig_fixed + 1 + zsk.signature_size,
-    }

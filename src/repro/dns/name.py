@@ -185,12 +185,6 @@ class Name:
             return True
         return len(self._key) >= n and self._key[-n:] == other._key
 
-    def relativize_depth(self, ancestor: "Name") -> int:
-        """Number of labels self has below ``ancestor``."""
-        if not self.is_subdomain_of(ancestor):
-            raise NameError_(f"{self} is not under {ancestor}")
-        return len(self._labels) - len(ancestor._labels)
-
     def derelativize(self, origin: "Name") -> "Name":
         """Append ``origin``; used by the zone-file parser."""
         return Name(self._labels + origin._labels)

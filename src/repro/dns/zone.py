@@ -72,10 +72,6 @@ class Zone:
             rrset.ttl = min(rrset.ttl, rr.ttl)
             rrset.add(rr.rdata)
 
-    def add_rrset(self, rrset: RRset) -> None:
-        for rr in rrset.to_rrs():
-            self.add_rr(rr)
-
     def remove(self, name: Name, rrtype: Optional[RRType] = None) -> None:
         node = self._nodes.get(name)
         self._canonical_cache = None

@@ -76,7 +76,7 @@ def render_degradation(result) -> str:
 
 
 def render_perf_counters(perf) -> str:
-    """A :class:`repro.perf.PerfCounters` snapshot as aligned text rows.
+    """A :class:`repro.telemetry.MetricsRegistry` snapshot as text rows.
 
     Derived rates (cache hit rate, events per second) are appended when
     the underlying counters are present, so experiment reports can show

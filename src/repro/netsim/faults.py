@@ -269,9 +269,6 @@ class FaultInjector:
 
     # -- introspection -----------------------------------------------------
 
-    def active_faults(self) -> List[FaultSpec]:
-        return list(self._active)
-
     def counters(self) -> Dict[str, int]:
         return {
             "faults_activated": self.faults_activated,
@@ -339,18 +336,6 @@ class FaultInjector:
                 deliveries = [(extra + spec.extra_delay, pkt)
                               for extra, pkt in deliveries]
         return deliveries
-
-    def process_batch(self, packets: List[IpPacket], sender: "Host",
-                      receiver: "Host"
-                      ) -> List[List[Tuple[float, IpPacket]]]:
-        """Per-packet verdicts for a batch, RNG consumed in list order.
-
-        Exactly equivalent to calling :meth:`process` once per packet in
-        order — the per-spec rate RNG advances identically — so batched
-        transmission cannot change which packets a fault window hits.
-        """
-        process = self.process
-        return [process(packet, sender, receiver) for packet in packets]
 
     def _note(self, kind: str, packet: IpPacket) -> None:
         """Record the verdict on the network's telemetry hub, if any.

@@ -96,9 +96,6 @@ class TrafficMeter:
         return [(second, data[0], data[1])
                 for second, data in sorted(self._buckets.items())]
 
-    def total_bytes(self) -> int:
-        return sum(data[0] for data in self._buckets.values())
-
 
 @dataclass
 class FilterRule:

@@ -254,7 +254,7 @@ class ShardCoordinator:
             time = barrier
 
     def export_counters(self, perf) -> None:
-        """Fold the coordinator's run totals into a PerfCounters.
+        """Fold the coordinator's run totals into a MetricsRegistry.
 
         Call once, after the run: the totals are added as counter
         increments.  ``shard.fabric_clamped`` is the fidelity cost of

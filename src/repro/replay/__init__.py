@@ -14,8 +14,8 @@ from .recovery import (ChaosConfig, ChaosEngine, CheckpointPolicy,
                        attach_chaos, conservation_violations,
                        merge_recovered, reconnect_with_backoff)
 from .engine import ReplayConfig, SimReplayEngine
-from .live import (LiveReplay, LiveUdpEchoServer, ThroughputReport,
-                   ThroughputSample, measure_throughput)
+from .live import (LiveUdpEchoServer, ThroughputReport, ThroughputSample,
+                   measure_throughput)
 from .multiproc import (ProcessTopology, ShardTopology,
                         UdpEchoServerProcess, default_shard_scenario,
                         shard_slice)
@@ -29,7 +29,7 @@ __all__ = [
     "AimdPacer", "ChaosConfig", "ChaosEngine", "CheckpointPolicy",
     "CheckpointStore", "Controller", "DistributedConfig",
     "DistributionStats", "Distributor", "LiveDistributedReplay",
-    "LiveReplay", "MAX_FRAME", "MSG_CHECKPOINT", "MSG_END", "MSG_HELLO",
+    "MAX_FRAME", "MSG_CHECKPOINT", "MSG_END", "MSG_HELLO",
     "MSG_METRICS", "MSG_RECORD", "MSG_RECORD_SEQ", "MSG_RESULT",
     "MSG_SHUTDOWN", "MSG_TELEMETRY", "MSG_TIME_SYNC", "MessageSocket",
     "PacingConfig",

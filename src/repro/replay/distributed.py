@@ -324,7 +324,10 @@ class _LiveQuerier(threading.Thread):
             self.heartbeat = now
             if target > now:
                 if self._done_receiving:
-                    # Nothing else is coming: sleep until the next send.
+                    # Nothing else is coming: sleep until the next send,
+                    # matching responses meanwhile so their latencies
+                    # stay true and the socket buffer cannot overflow.
+                    self._drain_responses()
                     time.sleep(min(target - now, 0.01))
                     continue
                 return

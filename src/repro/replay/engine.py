@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from ..netsim import EventLoop, Host, LatencyModel, Network
-from ..perf import PerfCounters
+from ..telemetry.metrics import MetricsRegistry
 from ..telemetry import Telemetry
 from ..trace import Trace
 from .distributor import Controller, Distributor, DistributionStats
@@ -62,12 +62,12 @@ class SimReplayEngine:
 
     def __init__(self, network: Network,
                  config: Optional[ReplayConfig] = None,
-                 perf: Optional[PerfCounters] = None,
+                 perf: Optional[MetricsRegistry] = None,
                  telemetry: Optional[Telemetry] = None):
         self.network = network
         self.loop: EventLoop = network.loop
         self.config = config if config is not None else ReplayConfig()
-        self.perf = perf if perf is not None else PerfCounters()
+        self.perf = perf if perf is not None else MetricsRegistry()
         self.telemetry = telemetry
         self.stats = DistributionStats()
         self.client_hosts: List[Host] = []

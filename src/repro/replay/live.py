@@ -1,10 +1,11 @@
-"""Live replay over real sockets on the loopback interface.
+"""Live loopback pieces: a UDP echo responder and Figure 9's generator.
 
-The simulator reproduces the paper's *experiments*; this module keeps
-the system honest against a real OS: it replays traces over real UDP
-sockets with real timers (so Figures 6-8 can be measured with genuine
-kernel/scheduler jitter, not the calibrated model), and it measures the
-single-host maximum replay rate of Figure 9.
+The simulator reproduces the paper's *experiments*; the live paths keep
+the system honest against a real OS.  Timed live replay over real UDP
+sockets (genuine kernel/scheduler jitter, not the calibrated model) is
+:class:`repro.replay.distributed.LiveDistributedReplay`; this module
+holds the echo server it replays against and measures the single-host
+maximum replay rate of Figure 9.
 
 The paper's C++ implementation reaches 87 k q/s on one core; a Python
 reproduction will be slower (the repro calibration flags exactly this),
@@ -15,15 +16,12 @@ the ratio to a typical root-letter load.
 from __future__ import annotations
 
 import socket
-import struct
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from ..dns import Message, Name, RRType
-from ..trace import Trace
-from .result import ReplayResult, SentQuery
 
 LOOPBACK = "127.0.0.1"
 
@@ -154,81 +152,3 @@ def measure_throughput(duration: float = 2.0,
         duration=elapsed, queries_sent=sent, responses_received=received,
         mean_qps=mean_qps, mean_mbps=mean_qps * len(wire) * 8 / 1e6,
         samples=samples)
-
-
-class LiveReplay:
-    """Replay a trace over real UDP with the §2.6 timing discipline."""
-
-    def __init__(self, server_address: Tuple[str, int]):
-        self.server_address = server_address
-        self.result = ReplayResult("live-replay")
-
-    def replay(self, trace: Trace,
-               settle_time: float = 0.2) -> ReplayResult:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        sock.connect(self.server_address)
-        sock.setblocking(False)
-
-        pending: Dict[int, SentQuery] = {}
-        receiver_running = [True]
-
-        def receive_loop() -> None:
-            while receiver_running[0]:
-                try:
-                    data = sock.recv(65535)
-                except BlockingIOError:
-                    time.sleep(0.0002)
-                    continue
-                except OSError:
-                    return
-                if len(data) >= 2:
-                    message_id = struct.unpack("!H", data[:2])[0]
-                    entry = pending.pop(message_id, None)
-                    if entry is not None:
-                        entry.answered_at = time.monotonic()
-                    else:
-                        self.result.unmatched_responses += 1
-
-        receiver = threading.Thread(target=receive_loop, daemon=True)
-        receiver.start()
-
-        records = sorted(trace.records, key=lambda r: r.timestamp)
-        if not records:
-            return self.result
-        trace_start = records[0].timestamp
-        clock_start = time.monotonic() + 0.05
-        self.result.start_clock = clock_start
-        self.result.trace_start = trace_start
-
-        for index, record in enumerate(records):
-            target = clock_start + (record.timestamp - trace_start)
-            # Sleep coarsely, then spin for the final stretch, mirroring
-            # timer-event scheduling in the paper's replay client.
-            while True:
-                now = time.monotonic()
-                remaining = target - now
-                if remaining <= 0:
-                    break
-                time.sleep(remaining - 0.0005 if remaining > 0.001
-                           else 0.00005)
-            sent_at = time.monotonic()
-            message_id = (struct.unpack("!H", record.wire[:2])[0]
-                          + index) & 0xFFFF or 1
-            wire = struct.pack("!H", message_id) + record.wire[2:]
-            entry = SentQuery(
-                index=index, source=record.src,
-                trace_time=record.timestamp, scheduled_at=target,
-                sent_at=sent_at, protocol="udp",
-                qname="")
-            pending[message_id] = entry
-            self.result.add(entry)
-            try:
-                sock.send(wire)
-            except OSError:
-                self.result.send_failures += 1
-
-        time.sleep(settle_time)
-        receiver_running[0] = False
-        receiver.join(timeout=1.0)
-        sock.close()
-        return self.result

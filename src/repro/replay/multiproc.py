@@ -12,31 +12,38 @@ themselves (:class:`_LiveDistributor`, :class:`_LiveQuerier`) run
 unmodified inside the workers.
 
 Every run — a streamed trace (:meth:`ProcessTopology.replay`), a
-self-sourced shard-file set (:meth:`ProcessTopology.replay_shard_files`)
-or either in self-healing mode (``config.recovery``) — goes through one
-run path:
+self-sourced shard-file set (:meth:`ProcessTopology.replay_shard_files`),
+a set of simulation shards (:meth:`ShardTopology.replay`), or any of
+them in self-healing mode — goes through one controller,
+``_Controller``; the two topologies only say which worker slots exist
+and how one worker is launched:
 
-1. **spawn** (``_spawn_tree``): the controller binds a loopback control
-   listener and spawns one process per distributor; each binds its own
-   querier listener and reports the port in a HELLO frame.  Then one
-   process per querier, wired to its distributor's port, HELLOs back.
+1. **spawn** (``_spawn``): the controller binds a loopback control
+   listener and spawns each tier in turn (``_spawn_tier``), HELLOing
+   every worker in.  The replay tree spawns one process per
+   distributor — each binds its own querier listener and reports the
+   port in its HELLO — then one process per querier, wired to its
+   distributor's port; the simulation spawns one process per shard.
    ``_worker_process`` is the only place a worker's argv is built, for
    first spawns and respawns alike;
 2. **read**: one reader thread per worker control link
    (``_reader_loop``) lands TELEMETRY in the live cluster view,
    CHECKPOINTs in the recovery store and the final RESULT + METRICS
-   pair on the worker's handle.  At EOF it decides whether the worker
-   really died with its shard outstanding — then the worker is failed
-   and its crash recorded, and in recovery mode respawned;
-3. **run** (``_run``): start the watchdog, anchor the clock with
-   TIME_SYNC, stream the records sharded sticky-by-source over the
-   distributors (each re-shards over its queriers; shard-file
-   distributors read their own file instead), send END, wait for the
-   RESULTs until the deadline, and merge every shard
-   (``ReplayResult.merge``) and metrics snapshot
+   pair on the worker's handle.  At EOF (``_reader_eof``) it decides
+   whether the worker really died before reporting — then the worker
+   is failed and its crash recorded, and in recovery mode respawned at
+   once (``_respawn_worker``) and its HELLO adopted into the slot
+   (``_accept_loop``/``_adopt``);
+3. **run**: ``ProcessTopology._run`` starts the watchdog, anchors the
+   clock with TIME_SYNC, streams the records sharded sticky-by-source
+   over the distributors (each re-shards over its queriers; shard-file
+   distributors read their own file instead) and sends END; shards
+   self-source, so ``ShardTopology.replay`` only waits.  Both wait for
+   the RESULTs, and for respawns in flight, until the deadline
+   (``_await_results``), then merge every shard (``ReplayResult.merge``
+   in slot order) and metrics snapshot
    (``MetricsRegistry.merge_state``) into one aggregate;
-4. **teardown** (``_teardown``, shared with :class:`ShardTopology`):
-   SHUTDOWN, close, reap.
+4. **teardown** (``_teardown``): SHUTDOWN, close, reap.
 
 Recovery mode changes only the steps that must differ: records travel
 as RECORD_SEQ (tagged with their global trace index), END waits for
@@ -63,9 +70,8 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..netsim.shard import shard_of
-from ..perf import PerfCounters
-from ..telemetry.cluster import (ClusterAggregator, FlightRecorder,
-                                 TelemetryStreamer)
+from ..telemetry.cluster import (_ROLE_NAMES, ClusterAggregator,
+                                 FlightRecorder, TelemetryStreamer)
 from ..telemetry.core import Telemetry
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.tracing import TelemetryConfig
@@ -78,8 +84,8 @@ from .protocol import (MSG_CHECKPOINT, MSG_HELLO, MSG_METRICS, MSG_RESULT,
                        MSG_SHUTDOWN, MSG_TELEMETRY, MessageSocket,
                        ProtocolError, ROLE_DISTRIBUTOR, ROLE_QUERIER,
                        ROLE_SHARD, connect)
-from .recovery import (CheckpointStore, RecoveryConfig, attach_chaos,
-                       merge_recovered, reconnect_with_backoff)
+from .recovery import (ChaosConfig, CheckpointStore, RecoveryConfig,
+                       attach_chaos, merge_recovered, reconnect_with_backoff)
 from .result import ReplayResult, _COUNTER_FIELDS
 from .supervision import ReplayWatchdog
 
@@ -93,13 +99,20 @@ def _mp_context(start_method: Optional[str] = None):
     return multiprocessing.get_context(start_method)
 
 
-def _streaming(telemetry: Optional[TelemetryConfig]) -> bool:
-    return telemetry is not None and telemetry.streaming()
-
-
 def _make_aggregator(telemetry: TelemetryConfig) -> ClusterAggregator:
     """Window the live q/s views to a few stream periods."""
     return ClusterAggregator(window=max(1.0, 4.0 * telemetry.stream_period))
+
+
+def _report(control: MessageSocket, result: dict, metrics: dict) -> None:
+    """Send a worker's final RESULT + METRICS pair, then wait for the
+    controller's SHUTDOWN."""
+    try:
+        control.send_result(result)
+        control.send_metrics(metrics)
+    except OSError:
+        return
+    _await_shutdown(control)
 
 
 def _await_shutdown(control: MessageSocket, timeout: float = 10.0) -> None:
@@ -117,6 +130,9 @@ def _await_shutdown(control: MessageSocket, timeout: float = 10.0) -> None:
 # ---------------------------------------------------------------------------
 # Worker process entry points (top-level: importable under spawn)
 # ---------------------------------------------------------------------------
+#
+# A worker's ``telemetry`` argument is None unless the run streams: the
+# controller ships a TelemetryConfig only when its ``stream_period`` is set.
 
 def _distributor_main(control_addr: Tuple[str, int], distributor_id: int,
                       querier_count: int,
@@ -150,9 +166,10 @@ def _distributor_main(control_addr: Tuple[str, int], distributor_id: int,
     listener.listen(querier_count + 4)
     listener.settimeout(_SETUP_TIMEOUT if recovery is None
                         else recovery.hello_timeout)
+    chaos = recovery.chaos if recovery is not None else None
     control = connect(control_addr)
-    attach_chaos(control, recovery.chaos if recovery else None,
-                 ROLE_DISTRIBUTOR, distributor_id, incarnation)
+    attach_chaos(control, chaos, ROLE_DISTRIBUTOR, distributor_id,
+                 incarnation)
     control.send_hello(ROLE_DISTRIBUTOR, distributor_id,
                        listener.getsockname()[1], incarnation)
     querier_sockets: List[MessageSocket] = []
@@ -167,12 +184,8 @@ def _distributor_main(control_addr: Tuple[str, int], distributor_id: int,
                 # Recovery: run with whoever showed up; stragglers and
                 # respawns attach through the late-accept loop below.
                 break
-            accepted.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            querier_sockets.append(MessageSocket(accepted)
-                                   if recovery is None
-                                   else _chaos_socket(accepted, recovery,
-                                                      distributor_id,
-                                                      incarnation))
+            querier_sockets.append(_querier_link(accepted, chaos,
+                                                 distributor_id, incarnation))
     except Exception:
         listener.close()
         raise
@@ -189,7 +202,7 @@ def _distributor_main(control_addr: Tuple[str, int], distributor_id: int,
         return registry.to_state()
 
     streamer: Optional[TelemetryStreamer] = None
-    if _streaming(telemetry):
+    if telemetry is not None:
         streamer = TelemetryStreamer(
             control.send_telemetry, ROLE_DISTRIBUTOR, distributor_id,
             incarnation, telemetry.stream_period,
@@ -203,7 +216,7 @@ def _distributor_main(control_addr: Tuple[str, int], distributor_id: int,
         listener.settimeout(0.1)
         accept_thread = threading.Thread(
             target=_accept_late_queriers,
-            args=(listener, distributor, recovery, distributor_id,
+            args=(listener, distributor, chaos, distributor_id,
                   incarnation, accept_stop),
             daemon=True, name=f"distributor-{distributor_id}-accept")
         accept_thread.start()
@@ -224,12 +237,7 @@ def _distributor_main(control_addr: Tuple[str, int], distributor_id: int,
         # reporting health while we wait out the controller's SHUTDOWN.
         streamer.flush(final=True)
 
-    try:
-        control.send_result(result.to_dict())
-        control.send_metrics(metrics_snapshot())
-        _await_shutdown(control)
-    except OSError:
-        pass
+    _report(control, result.to_dict(), metrics_snapshot())
     if streamer is not None:
         streamer.stop(final=False)
     for outbound in distributor.querier_sockets:
@@ -237,19 +245,19 @@ def _distributor_main(control_addr: Tuple[str, int], distributor_id: int,
     control.close()
 
 
-def _chaos_socket(accepted: socket.socket, recovery: RecoveryConfig,
+def _querier_link(accepted: socket.socket, chaos: Optional[ChaosConfig],
                   distributor_id: int, incarnation: int) -> MessageSocket:
-    """Wrap an accepted querier link, chaos attached to the send path."""
+    """Wrap an accepted querier link, chaos (if any) on the send path."""
     accepted.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     msocket = MessageSocket(accepted)
-    attach_chaos(msocket, recovery.chaos, ROLE_DISTRIBUTOR,
-                 distributor_id, incarnation)
+    attach_chaos(msocket, chaos, ROLE_DISTRIBUTOR, distributor_id,
+                 incarnation)
     return msocket
 
 
 def _accept_late_queriers(listener: socket.socket,
                           distributor: _LiveDistributor,
-                          recovery: RecoveryConfig, distributor_id: int,
+                          chaos: Optional[ChaosConfig], distributor_id: int,
                           incarnation: int,
                           stop: threading.Event) -> None:
     """Adopt queriers that (re)connect after startup (respawns)."""
@@ -260,7 +268,7 @@ def _accept_late_queriers(listener: socket.socket,
             continue
         except OSError:
             return
-        distributor.add_querier(_chaos_socket(accepted, recovery,
+        distributor.add_querier(_querier_link(accepted, chaos,
                                               distributor_id, incarnation))
 
 
@@ -378,7 +386,7 @@ def _querier_main(control_addr: Tuple[str, int], querier_id: int,
 
     streamer: Optional[TelemetryStreamer] = None
     recorder: Optional[FlightRecorder] = None
-    if _streaming(telemetry):
+    if telemetry is not None:
         hub = Telemetry(telemetry)
         recorder = FlightRecorder(telemetry.flight_recorder)
         if hub.per_query:
@@ -420,20 +428,12 @@ def _querier_main(control_addr: Tuple[str, int], querier_id: int,
         # loop keeps the health view live until SHUTDOWN arrives.
         streamer.flush(final=True)
 
-    metrics_state = metrics_snapshot()
     if pump is not None:
-        pump.send_final(result.to_dict(), metrics_state)
-        _await_shutdown(pump.control)
-        if streamer is not None:
-            streamer.stop(final=False)
-        pump.control.close()
-        return
-    try:
-        control.send_result(result.to_dict())
-        control.send_metrics(metrics_state)
+        pump.send_final(result.to_dict(), metrics_snapshot())
+        control = pump.control
         _await_shutdown(control)
-    except OSError:
-        pass
+    else:
+        _report(control, result.to_dict(), metrics_snapshot())
     if streamer is not None:
         streamer.stop(final=False)
     control.close()
@@ -450,7 +450,7 @@ def _querier_main(control_addr: Tuple[str, int], querier_id: int,
 # address hashes to its shard (``shard_of(record.src, n) == index``).
 # Nothing crosses shards mid-run, so the workers are embarrassingly
 # parallel; the controller merges the per-shard ReplayResult and
-# PerfCounters snapshots over the same HELLO/RESULT/METRICS control
+# MetricsRegistry snapshots over the same HELLO/RESULT/METRICS control
 # plane the distributor/querier tiers use.
 #
 # Workers *self-source* their slice instead of receiving streamed
@@ -484,7 +484,7 @@ def shard_slice(trace: Trace, shard_index: int, num_shards: int) -> Trace:
     return Trace(records, name=f"{trace.name}#shard{shard_index}")
 
 
-def default_shard_scenario(perf: Optional[PerfCounters] = None,
+def default_shard_scenario(perf: Optional[MetricsRegistry] = None,
                            fast_replay_rate: float = 200000.0,
                            batch_window: Optional[float] = None,
                            client_instances: int = 2,
@@ -503,7 +503,7 @@ def default_shard_scenario(perf: Optional[PerfCounters] = None,
     from .engine import ReplayConfig, SimReplayEngine
 
     if perf is None:
-        perf = PerfCounters()
+        perf = MetricsRegistry()
     testbed = build_evaluation_topology()
     server = AuthoritativeServer.single_view([wildcard_example_zone()])
     server.perf = perf
@@ -527,9 +527,9 @@ def _shard_main(control_addr: Tuple[str, int], shard_index: int,
     attach_chaos(control, recovery.chaos if recovery else None,
                  ROLE_SHARD, shard_index, incarnation)
     control.send_hello(ROLE_SHARD, shard_index, 0, incarnation)
-    perf = PerfCounters()
+    perf = MetricsRegistry()
     streamer: Optional[TelemetryStreamer] = None
-    if _streaming(telemetry):
+    if telemetry is not None:
         # Shards never see TIME_SYNC, so no sync_mono: the aggregator
         # falls back to min-skew alignment.  Spans are omitted — shard
         # timestamps are sim-clock, not monotonic, and cannot rebase.
@@ -553,9 +553,7 @@ def _shard_main(control_addr: Tuple[str, int], shard_index: int,
         if streamer is not None:
             streamer.stop(final=True)
             streamer = None
-        control.send_result(result.to_dict())
-        control.send_metrics(perf.to_state())
-        _await_shutdown(control)
+        _report(control, result.to_dict(), perf.to_state())
     except OSError:
         pass
     finally:
@@ -629,6 +627,11 @@ class UdpEchoServerProcess:
 # Controller
 # ---------------------------------------------------------------------------
 
+def _process_name(role: int, worker_id: int, incarnation: int) -> str:
+    suffix = f"r{incarnation}" if incarnation else ""
+    return f"replay-{_ROLE_NAMES[role]}-{worker_id}{suffix}"
+
+
 class _WorkerHandle:
     """Controller-side view of one worker process (watchdog subject)."""
 
@@ -660,9 +663,7 @@ class _WorkerHandle:
 
     @property
     def name(self) -> str:
-        kind = {ROLE_DISTRIBUTOR: "distributor",
-                ROLE_QUERIER: "querier",
-                ROLE_SHARD: "shard"}.get(self.role, f"role{self.role}")
+        kind = _ROLE_NAMES.get(self.role, f"role{self.role}")
         return f"{kind}-{self.worker_id}"
 
 
@@ -692,7 +693,365 @@ def _accept_hello(listener: socket.socket, expected_role: Optional[int],
     return _WorkerHandle(role, worker_id, control, listen_port, incarnation)
 
 
-class ProcessTopology:
+class _Controller:
+    """The one control plane behind both topologies (the spawn, read and
+    teardown steps of the module docstring).
+
+    A subclass provides ``result``, ``metrics`` and ``cluster``, opens
+    one slot list per worker role with ``_tier`` (worker id = index;
+    tiers merge in the order they are opened), and says how one worker
+    is launched: ``_worker_process(role, worker_id, incarnation,
+    listen_port)`` builds (not starts) its Process.
+    """
+
+    def __init__(self, recovery: Optional[RecoveryConfig],
+                 start_method: Optional[str]):
+        self._recovery = recovery
+        self._start_method = start_method
+        self._watchdog: Optional[ReplayWatchdog] = None
+        self._store: Optional[CheckpointStore] = None
+        self._lock = threading.Lock()
+        self._tiers: Dict[int, List[_WorkerHandle]] = {}
+        self._processes: List = []
+        self._listener: Optional[socket.socket] = None
+        self._accept_thread: Optional[threading.Thread] = None
+        # Respawn state: the budget spent per slot and in total, the
+        # respawns granted but not yet adopted or given up, processes
+        # started but not yet HELLOed, and the handles respawns replaced.
+        self._respawn_counts: Dict[Tuple[int, int], int] = {}
+        self._respawns_total = 0
+        self._respawning = 0
+        self._pending_processes: Dict[Tuple[int, int, int], object] = {}
+        self._retired_handles: List[_WorkerHandle] = []
+        self._closing = threading.Event()
+
+    def _tier(self, role: int) -> List[_WorkerHandle]:
+        return self._tiers.setdefault(role, [])
+
+    def _handles(self) -> List[_WorkerHandle]:
+        """Every current slot, in merge order."""
+        return [handle for tier in self._tiers.values() for handle in tier]
+
+    # -- spawn ---------------------------------------------------------------
+
+    def _spawn(self, tiers: Sequence[Tuple[int, int]]) -> None:
+        """Spawn each ``(role, count)`` tier in order and HELLO it in.
+
+        A later tier's argv may carry an earlier tier's HELLO ports.  In
+        recovery mode the control listener stays open for the run so
+        respawned and reconnecting workers can re-HELLO.
+        """
+        recovery = self._recovery
+        self._ctx = _mp_context(self._start_method)
+        hello_timeout = (_SETUP_TIMEOUT if recovery is None
+                         else recovery.hello_timeout)
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(sum(count for _role, count in tiers) + 4)
+            listener.settimeout(hello_timeout)
+            self._control_addr = listener.getsockname()
+            for role, count in tiers:
+                self._spawn_tier(listener, role, count, hello_timeout)
+        except Exception:
+            self._closing.set()
+            for process in self._processes:
+                if process.is_alive():
+                    process.terminate()
+            listener.close()
+            raise
+        if recovery is None:
+            listener.close()
+        else:
+            self._listener = listener
+
+    def _spawn_tier(self, listener: socket.socket, role: int, count: int,
+                    hello_timeout: float) -> None:
+        processes = []
+        for worker_id in range(count):
+            process = self._worker_process(role, worker_id)
+            process.start()
+            processes.append(process)
+            self._processes.append(process)
+        by_id: Dict[int, _WorkerHandle] = {}
+        for _ in range(count):
+            handle = _accept_hello(listener, role, hello_timeout)
+            handle.process = processes[handle.worker_id]
+            by_id[handle.worker_id] = handle
+        self._tiers[role].extend(by_id[i] for i in range(count))
+
+    # -- the reader (one thread per worker control link, every mode) -------
+
+    def _start_readers(self) -> None:
+        """A reader thread per worker; in recovery mode also the accept
+        loop that adopts late HELLOs."""
+        if self._listener is not None:
+            # Short accept timeout from here on: the accept loop must
+            # wake often enough to notice shutdown.
+            self._listener.settimeout(0.25)
+            self._accept_thread = threading.Thread(
+                target=self._accept_loop, daemon=True,
+                name="replay-recovery-accept")
+            self._accept_thread.start()
+        for handle in self._handles():
+            self._start_reader(handle)
+
+    def _start_reader(self, handle: _WorkerHandle) -> None:
+        thread = threading.Thread(
+            target=self._reader_loop, args=(handle, handle.control),
+            daemon=True, name=f"reader-{handle.name}@{handle.incarnation}")
+        thread.start()
+
+    def _reader_loop(self, handle: _WorkerHandle,
+                     control: MessageSocket) -> None:
+        """TELEMETRY feeds the aggregator live, CHECKPOINTs the store,
+        and the final RESULT/METRICS pair lands on the handle."""
+        key = (handle.role, handle.worker_id)
+        while True:
+            try:
+                message = control.receive()
+            except (ProtocolError, OSError):
+                break
+            if message is None:
+                break
+            kind, payload = message
+            if kind == MSG_TELEMETRY:
+                # Aggregation has its own lock; never holds self._lock,
+                # so the stream cannot stall checkpoint dispatch.
+                if self.cluster is not None:
+                    self.cluster.ingest(payload)
+                continue
+            with self._lock:
+                if kind == MSG_CHECKPOINT and self._store is not None:
+                    self._store.offer_frame(key, payload)
+                elif kind == MSG_RESULT:
+                    handle.shard = ReplayResult.from_dict(payload)
+                    if self._store is not None:
+                        # The final RESULT outranks every checkpoint of
+                        # the same incarnation regardless of arrival.
+                        self._store.offer(key, handle.incarnation, 0,
+                                          payload, final=True)
+                elif kind == MSG_METRICS:
+                    handle.metrics_state = payload
+        self._reader_eof(handle, control)
+
+    def _reader_eof(self, handle: _WorkerHandle,
+                    control: MessageSocket) -> None:
+        """A control link closed.  If the worker really died before
+        reporting, fail it and record the crash; in recovery mode,
+        respawn it within the budget until the run winds down."""
+        if handle.control is not control:
+            return   # replaced by a same-incarnation reconnect
+        recovery = self._recovery
+        if recovery is None and self._watchdog is not None:
+            return   # the watchdog owns the verdict (_handle_stall)
+        if handle.metrics_state is not None:
+            return   # reported: a normal exit
+        if handle.process is not None:
+            handle.process.join(timeout=1.5)
+            if handle.process.is_alive():
+                return   # live worker, dropped socket: re-dials or deadline
+        attempt = None
+        with self._lock:
+            if handle.failed or handle.metrics_state is not None:
+                return
+            handle.failed = True
+            # A worker that died after its RESULT has nothing to rerun.
+            winding_down = (recovery is None or handle.shard is not None
+                            or self._closing.is_set())
+            if not winding_down:
+                attempt = self._grant_respawn(handle)
+                if attempt is not None:
+                    self._respawning += 1
+        if self.cluster is not None:
+            self.cluster.record_crash(handle.role, handle.worker_id,
+                                      handle.incarnation,
+                                      reason="process died")
+        if winding_down:
+            return
+        if handle.role == ROLE_DISTRIBUTOR:
+            self._assigner.remove(handle)
+        if attempt is not None:
+            threading.Thread(
+                target=self._respawn_worker, args=(handle, attempt),
+                daemon=True, name=f"respawn-{handle.name}").start()
+
+    # -- collection / teardown ---------------------------------------------
+
+    def _await_results(self, deadline: float) -> None:
+        """Wait for every live slot's RESULT/METRICS pair (the reader
+        threads land them) and for every respawn in flight; whoever has
+        not reported by the deadline is failed.  Then stop respawning
+        and adopting."""
+        while time.monotonic() < deadline:
+            with self._lock:
+                if not self._respawning and all(
+                        handle.failed or (handle.shard is not None
+                                          and handle.metrics_state
+                                          is not None)
+                        for handle in self._handles()):
+                    break
+            time.sleep(0.02)
+        with self._lock:
+            for handle in self._handles():
+                if handle.shard is None or handle.metrics_state is None:
+                    handle.failed = True
+        self._closing.set()
+        if self._listener is not None:
+            self._listener.close()
+            self._accept_thread.join(timeout=2.0)
+
+    def _merge_metrics(self, count_name: str) -> int:
+        """Merge every worker's METRICS (retired incarnations' too) and
+        count the workers, lost slots and respawns; returns the number
+        of slots that never reported a RESULT."""
+        handles = self._handles()
+        for handle in handles + self._retired_handles:
+            if handle.metrics_state is not None:
+                self.metrics.merge_state(handle.metrics_state)
+        lost = sum(1 for handle in handles if handle.shard is None)
+        if lost:
+            self.metrics.incr("multiproc.lost_shards", lost)
+        self.metrics.incr(count_name, len(handles))
+        if self._respawns_total:
+            self.metrics.incr("multiproc.respawns", self._respawns_total)
+        return lost
+
+    def _teardown(self) -> None:
+        """SHUTDOWN every worker, close its link, reap (terminate
+        stragglers)."""
+        for handle in self._retired_handles:
+            handle.control.close()
+        for handle in self._handles():
+            try:
+                handle.control.send_shutdown()
+            except OSError:
+                pass
+            handle.control.close()
+        for process in self._processes:
+            process.join(timeout=2.0)
+        for process in self._processes:
+            if process.is_alive():
+                process.terminate()
+                process.join(timeout=2.0)
+
+    # -- adoption / respawn (recovery mode) --------------------------------
+
+    def _grant_respawn(self, handle: _WorkerHandle) -> Optional[int]:
+        """Charge one respawn of ``handle``'s slot to the budget (the
+        caller holds the lock).  Returns the slot's attempt number, or
+        None when the budget is spent (counted as a stall)."""
+        key = (handle.role, handle.worker_id)
+        attempts = self._respawn_counts.get(key, 0)
+        budget = self._recovery.respawn
+        if (attempts >= budget.max_per_worker
+                or self._respawns_total >= budget.max_total):
+            self.result.watchdog_stalls += 1
+            return None
+        self._respawn_counts[key] = attempts + 1
+        self._respawns_total += 1
+        self.result.respawns += 1
+        return attempts
+
+    def _accept_loop(self) -> None:
+        recovery = self._recovery
+        while not self._closing.is_set():
+            try:
+                newcomer = _accept_hello(self._listener, None,
+                                         recovery.hello_timeout)
+            except (TimeoutError, ProtocolError):
+                continue
+            except OSError:
+                return
+            self._adopt(newcomer)
+
+    def _adopt(self, newcomer: _WorkerHandle) -> None:
+        """Classify a late HELLO: reconnect of a live incarnation, or a
+        respawned worker taking over its slot."""
+        slots = self._tiers.get(newcomer.role, [])
+        with self._lock:
+            if not 0 <= newcomer.worker_id < len(slots):
+                newcomer.control.close()
+                return
+            current = slots[newcomer.worker_id]
+            if (newcomer.incarnation == current.incarnation
+                    and not current.failed):
+                # Same incarnation re-dialing after a dropped socket:
+                # swap the control link, keep every other field.
+                old = current.control
+                current.control = newcomer.control
+                old.close()
+                handle = current
+            elif newcomer.incarnation > current.incarnation:
+                newcomer.process = self._pending_processes.pop(
+                    (newcomer.role, newcomer.worker_id,
+                     newcomer.incarnation), None)
+                slots[newcomer.worker_id] = newcomer
+                self._retired_handles.append(current)
+                handle = newcomer
+                if self._watchdog is not None:
+                    self._watchdog.add_subject(newcomer)
+            else:
+                newcomer.control.close()
+                return
+        if handle is newcomer and newcomer.role == ROLE_DISTRIBUTOR:
+            attach_chaos(newcomer.control, self._recovery.chaos,
+                         newcomer.role, newcomer.worker_id,
+                         newcomer.incarnation, controller_side=True)
+            try:
+                newcomer.control.send_time_sync(self.result.trace_start)
+            except OSError:
+                pass
+            self._assigner.add(newcomer)
+        self._start_reader(handle)
+
+    def _respawn_worker(self, handle: _WorkerHandle, attempt: int) -> None:
+        """Relaunch a dead worker's slot as its next incarnation.
+
+        A respawn that dies before its HELLO is adopted would otherwise
+        vanish silently (no reader thread watches it yet), so it is
+        babysat through the handshake and retried within the budget.
+        """
+        recovery = self._recovery
+        incarnation = handle.incarnation
+        try:
+            while attempt is not None:
+                incarnation += 1
+                time.sleep(recovery.respawn.backoff(attempt))
+                process = self._worker_process(handle.role, handle.worker_id,
+                                               incarnation,
+                                               handle.listen_port)
+                pending_key = (handle.role, handle.worker_id, incarnation)
+                with self._lock:
+                    if self._closing.is_set():
+                        return
+                    self._pending_processes[pending_key] = process
+                    self._processes.append(process)
+                process.start()
+                hello_deadline = time.monotonic() + recovery.hello_timeout
+                while time.monotonic() < hello_deadline:
+                    if self._closing.is_set():
+                        return
+                    with self._lock:
+                        if pending_key not in self._pending_processes:
+                            return   # adopted: its reader thread owns it
+                    if not process.is_alive():
+                        break
+                    time.sleep(0.05)
+                else:
+                    return
+                with self._lock:
+                    if (self._closing.is_set()
+                            or pending_key not in self._pending_processes):
+                        return
+                    del self._pending_processes[pending_key]
+                    attempt = self._grant_respawn(handle)
+        finally:
+            with self._lock:
+                self._respawning -= 1
+
+
+class ProcessTopology(_Controller):
     """The controller of the multi-process replay tree.
 
     Usually reached through
@@ -708,6 +1067,7 @@ class ProcessTopology:
             raise ValueError("need at least one server address")
         self.servers = [tuple(address) for address in servers]
         self.config = config if config is not None else DistributedConfig()
+        super().__init__(self.config.recovery, self.config.start_method)
         self.telemetry = telemetry
         self.result = ReplayResult(
             "distributed-process", aggregate=self.config.aggregate_results)
@@ -715,29 +1075,26 @@ class ProcessTopology:
         # merged into one registry (and into the telemetry hub's, when
         # one is attached).
         self.metrics = MetricsRegistry()
-        self.watchdog: Optional[ReplayWatchdog] = None
-        self.distributor_handles: List[_WorkerHandle] = []
-        self.querier_handles: List[_WorkerHandle] = []
+        # Merge order: queriers in id order, then the distributors'
+        # routing counters.
+        self.querier_handles = self._tier(ROLE_QUERIER)
+        self.distributor_handles = self._tier(ROLE_DISTRIBUTOR)
         # Live cluster view, populated only when the telemetry config
         # asks for streaming (stream_period set); None otherwise so the
         # classic path stays byte-identical to a telemetry-free run.
         self.cluster: Optional[ClusterAggregator] = None
         self._deadline_hit = False
-        self._lock = threading.Lock()
         # Run state, filled in by _spawn_tree.
-        self._processes: List = []
-        self._listener: Optional[socket.socket] = None
         self._distributor_extra = None
         self._aggregate = False
-        # Recovery-mode state: the exactly-once checkpoint store, the
-        # respawn budget and the handles respawns have replaced.
-        self._store = (CheckpointStore() if self.config.recovery is not None
-                       else None)
-        self._pending_processes: Dict[Tuple[int, int, int], object] = {}
-        self._respawn_counts: Dict[Tuple[int, int], int] = {}
-        self._respawns_total = 0
-        self._closing = threading.Event()
-        self._retired_handles: List[_WorkerHandle] = []
+        # Recovery mode: the exactly-once checkpoint store.
+        if self.config.recovery is not None:
+            self._store = CheckpointStore()
+
+    @property
+    def watchdog(self) -> Optional[ReplayWatchdog]:
+        """The run's watchdog (None without ``config.supervision``)."""
+        return self._watchdog
 
     def server_for(self, querier_id: int) -> ServerAddress:
         return self.servers[querier_id % len(self.servers)]
@@ -754,36 +1111,38 @@ class ProcessTopology:
     # -- supervision callbacks --------------------------------------------
 
     def _handle_stall(self, handle: _WorkerHandle) -> None:
-        """A worker process died with its shard outstanding.
+        """A worker process died (or, in recovery mode, wedged) with its
+        shard outstanding.
 
-        Mark it failed so collection skips it; its sticky routes already
-        fail over inside the tree (broken pipe → StickyAssigner.remove).
+        Classic mode fails it here so collection skips it; its sticky
+        routes already fail over inside the tree (broken pipe →
+        StickyAssigner.remove).  Recovery mode makes death unambiguous
+        (terminates a wedged process); closing the control link sends
+        the reader into the respawn path.
         """
+        classic = self._recovery is None
         with self._lock:
-            handle.failed = True
+            handle.failed = handle.failed or classic
             self.result.watchdog_stalls += 1
-        if self.cluster is not None:
+        if not classic and handle.is_alive():
+            handle.process.terminate()
+        if classic and self.cluster is not None:
             self.cluster.record_crash(handle.role, handle.worker_id,
                                       handle.incarnation,
                                       reason="watchdog stall")
         handle.control.close()
 
-    def _handle_stall_recovering(self, handle: _WorkerHandle) -> None:
-        """Watchdog verdict in recovery mode: dead or wedged.  Make death
-        unambiguous (terminate a wedged process) and close the control
-        link so the reader exits into the respawn path."""
-        with self._lock:
-            self.result.watchdog_stalls += 1
-        if handle.is_alive():
-            handle.process.terminate()
-        handle.control.close()
-
     def _handle_deadline(self) -> None:
         """Propagate the wall-clock budget down the tree as SHUTDOWN."""
         self._deadline_hit = True
+        self._broadcast(lambda control: control.send_shutdown())
+
+    def _broadcast(self, send) -> None:
+        """``send(control)`` down every distributor link; a dead link is
+        the reader's (or the watchdog's) business, not the sender's."""
         for handle in self.distributor_handles:
             try:
-                handle.control.send_shutdown()
+                send(handle.control)
             except OSError:
                 pass
 
@@ -791,23 +1150,23 @@ class ProcessTopology:
 
     def _worker_process(self, role: int, worker_id: int,
                         incarnation: int = 0, listen_port: int = 0):
-        """Build (not start) one worker's Process.
+        """Build (not start) one distributor's or querier's Process.
 
-        The only place a worker's argv is assembled: first spawns and
+        The only place their argv is assembled: first spawns and
         respawns alike.  A querier dials its distributor's current
         listen port; a respawned distributor rebinds ``listen_port``.
         """
         config = self.config
         tconfig = self._stream_config()
         if role == ROLE_DISTRIBUTOR:
-            target, kind = _distributor_main, "distributor"
+            target = _distributor_main
             args = (self._control_addr, worker_id,
                     config.queriers_per_distributor, config.recovery,
                     incarnation, listen_port, tconfig)
             if self._distributor_extra is not None:
                 args += tuple(self._distributor_extra(worker_id))
         else:
-            target, kind = _querier_main, "querier"
+            target = _querier_main
             distributor = self.distributor_handles[
                 worker_id // config.queriers_per_distributor]
             deadline = (config.supervision.deadline
@@ -816,9 +1175,9 @@ class ProcessTopology:
                     ("127.0.0.1", distributor.listen_port),
                     self.server_for(worker_id), deadline, config.recovery,
                     incarnation, tconfig, self._aggregate)
-        suffix = f"r{incarnation}" if incarnation else ""
-        return self._ctx.Process(target=target, args=args, daemon=True,
-                                 name=f"replay-{kind}-{worker_id}{suffix}")
+        return self._ctx.Process(
+            target=target, args=args, daemon=True,
+            name=_process_name(role, worker_id, incarnation))
 
     def _spawn_tree(self, num_distributors: int,
                     distributor_extra=None,
@@ -828,58 +1187,17 @@ class ProcessTopology:
         ``distributor_extra(i)`` appends streaming arguments (shard
         file path, read-ahead, pacing) to distributor *i*'s argv;
         ``aggregate`` switches the queriers to O(1) result accounting.
-        In recovery mode the control listener stays open for the run so
-        respawned and reconnecting workers can re-HELLO.
         """
-        config = self.config
-        recovery = config.recovery
         tconfig = self._stream_config()
         if tconfig is not None:
             self.cluster = _make_aggregator(tconfig)
-        self._ctx = _mp_context(config.start_method)
         self._distributor_extra = distributor_extra
         self._aggregate = aggregate
-        hello_timeout = (_SETUP_TIMEOUT if recovery is None
-                         else recovery.hello_timeout)
-        querier_total = num_distributors * config.queriers_per_distributor
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            listener.bind(("127.0.0.1", 0))
-            listener.listen(num_distributors + querier_total + 4)
-            listener.settimeout(hello_timeout)
-            self._control_addr = listener.getsockname()
-            # Tier 1 first: each distributor's HELLO carries the
-            # querier-listener port tier 2 dials.
-            self.distributor_handles = self._spawn_tier(
-                listener, ROLE_DISTRIBUTOR, num_distributors, hello_timeout)
-            self.querier_handles = self._spawn_tier(
-                listener, ROLE_QUERIER, querier_total, hello_timeout)
-        except Exception:
-            self._closing.set()
-            for process in self._processes:
-                if process.is_alive():
-                    process.terminate()
-            listener.close()
-            raise
-        if recovery is None:
-            listener.close()
-        else:
-            self._listener = listener
-
-    def _spawn_tier(self, listener: socket.socket, role: int, count: int,
-                    hello_timeout: float) -> List[_WorkerHandle]:
-        processes = []
-        for worker_id in range(count):
-            process = self._worker_process(role, worker_id)
-            process.start()
-            processes.append(process)
-            self._processes.append(process)
-        by_id: Dict[int, _WorkerHandle] = {}
-        for _ in range(count):
-            handle = _accept_hello(listener, role, hello_timeout)
-            handle.process = processes[handle.worker_id]
-            by_id[handle.worker_id] = handle
-        return [by_id[i] for i in range(count)]
+        # Tier 1 first: each distributor's HELLO carries the
+        # querier-listener port tier 2 dials.
+        self._spawn(((ROLE_DISTRIBUTOR, num_distributors),
+                     (ROLE_QUERIER, num_distributors
+                      * self.config.queriers_per_distributor)))
 
     # -- the run -----------------------------------------------------------
 
@@ -946,14 +1264,12 @@ class ProcessTopology:
         """
         config = self.config
         recovery = config.recovery
-        handles = self.querier_handles + self.distributor_handles
         if config.supervision is not None:
-            self.watchdog = ReplayWatchdog(
-                config.supervision, handles,
-                on_stall=(self._handle_stall if recovery is None
-                          else self._handle_stall_recovering),
+            self._watchdog = ReplayWatchdog(
+                config.supervision, self._handles(),
+                on_stall=self._handle_stall,
                 on_deadline=self._handle_deadline)
-            self.watchdog.start()
+            self._watchdog.start()
         self._assigner = StickyAssigner(self.distributor_handles)
         self.result.trace_start = trace_start
         if recovery is not None:
@@ -963,26 +1279,14 @@ class ProcessTopology:
                 attach_chaos(handle.control, recovery.chaos, handle.role,
                              handle.worker_id, handle.incarnation,
                              controller_side=True)
-            # Short accept timeout from here on: the accept loop must
-            # wake often enough to notice shutdown.
-            self._listener.settimeout(0.25)
-            accept_thread = threading.Thread(
-                target=self._accept_loop, daemon=True,
-                name="replay-recovery-accept")
-            accept_thread.start()
-        for handle in handles:
-            self._start_reader(handle)
+        self._start_readers()
 
         # Reader + Postman: time-sync broadcast, then the sharded stream.
         time.sleep(config.start_delay)
         self.result.start_clock = time.monotonic()
         if self.cluster is not None:
             self.cluster.set_anchor(self.result.start_clock)
-        for handle in self.distributor_handles:
-            try:
-                handle.control.send_time_sync(trace_start)
-            except OSError:
-                pass
+        self._broadcast(lambda control: control.send_time_sync(trace_start))
         for index, record in enumerate(records or ()):
             if self._deadline_hit:
                 # Stop feeding the tree; everything not yet streamed is
@@ -1003,11 +1307,7 @@ class ProcessTopology:
             # loss (everything is checkpointed), so stop respawning and
             # let the tree wind down.
             self._closing.set()
-        for handle in self.distributor_handles:
-            try:
-                handle.control.send_end()
-            except OSError:
-                pass
+        self._broadcast(lambda control: control.send_end())
 
         # Collection: every worker reports RESULT + METRICS when done.
         if recovery is None:
@@ -1022,42 +1322,25 @@ class ProcessTopology:
             deadline = min(drain_deadline,
                            time.monotonic() + config.settle_time + 8.0)
         self._await_results(deadline)
-        if self.watchdog is not None:
-            self.watchdog.stop()
-            self.watchdog.join(timeout=1.0)
-        if recovery is not None:
-            self._listener.close()
-            accept_thread.join(timeout=2.0)
+        if self._watchdog is not None:
+            self._watchdog.stop()
+            self._watchdog.join(timeout=1.0)
 
         # Merge: respawns may have replaced slots, so re-read them.
-        handles = self.querier_handles + self.distributor_handles
         if recovery is None:
-            # Deterministic order: queriers in id order, then the
-            # distributors' routing counters.
-            for handle in handles:
+            for handle in self._handles():
                 if handle.shard is not None:
                     self.result.merge(handle.shard)
         else:
             self._merge_recovered()
-        for handle in handles + self._retired_handles:
-            if handle.metrics_state is not None:
-                self.metrics.merge_state(handle.metrics_state)
-        lost = sum(1 for handle in handles if handle.shard is None)
-        if lost:
-            self.metrics.incr("multiproc.lost_shards", lost)
-        self.metrics.incr("multiproc.workers", len(handles))
-        if self._respawns_total:
-            self.metrics.incr("multiproc.respawns", self._respawns_total)
+        self._merge_metrics("multiproc.workers")
         telemetry = self.telemetry
         if telemetry is not None:
             # Per-query tracing cannot cross the process boundary; the
             # merged counter/histogram snapshots are the process-mode
             # telemetry surface.
             telemetry.metrics.merge(self.metrics)
-
-        for handle in self._retired_handles:
-            handle.control.close()
-        _teardown(handles, self._processes)
+        self._teardown()
         return self.result
 
     def _send_record(self, index: int, record) -> None:
@@ -1078,112 +1361,6 @@ class ProcessTopology:
                     self.result.reassigned_queries += 1
         with self._lock:
             self.result.send_failures += 1
-
-    def _await_results(self, deadline: float) -> None:
-        """Wait for every live slot's RESULT/METRICS pair (the reader
-        threads land them); whoever has not reported by the deadline
-        is failed."""
-        while time.monotonic() < deadline:
-            with self._lock:
-                if all(handle.failed or (handle.shard is not None
-                                         and handle.metrics_state is not None)
-                       for handle in (self.querier_handles
-                                      + self.distributor_handles)):
-                    return
-            time.sleep(0.02)
-        with self._lock:
-            for handle in self.querier_handles + self.distributor_handles:
-                if handle.shard is None or handle.metrics_state is None:
-                    handle.failed = True
-
-    # -- the reader (one thread per worker control link, every mode) -------
-
-    def _start_reader(self, handle: _WorkerHandle) -> None:
-        thread = threading.Thread(
-            target=self._reader_loop, args=(handle, handle.control),
-            daemon=True, name=f"reader-{handle.name}@{handle.incarnation}")
-        thread.start()
-
-    def _reader_loop(self, handle: _WorkerHandle,
-                     control: MessageSocket) -> None:
-        """TELEMETRY feeds the aggregator live, CHECKPOINTs the store,
-        and the final RESULT/METRICS pair lands on the handle."""
-        key = (handle.role, handle.worker_id)
-        while True:
-            try:
-                message = control.receive()
-            except (ProtocolError, OSError):
-                break
-            if message is None:
-                break
-            kind, payload = message
-            if kind == MSG_TELEMETRY:
-                # Aggregation has its own lock; never holds self._lock,
-                # so the stream cannot stall checkpoint dispatch.
-                if self.cluster is not None:
-                    self.cluster.ingest(payload)
-                continue
-            with self._lock:
-                if kind == MSG_CHECKPOINT and self._store is not None:
-                    self._store.offer_frame(key, payload)
-                elif kind == MSG_RESULT:
-                    handle.shard = ReplayResult.from_dict(payload)
-                    if self._store is not None:
-                        # The final RESULT outranks every checkpoint of
-                        # the same incarnation regardless of arrival.
-                        self._store.offer(key, handle.incarnation, 0,
-                                          payload, final=True)
-                elif kind == MSG_METRICS:
-                    handle.metrics_state = payload
-        self._reader_eof(handle, control)
-
-    def _reader_eof(self, handle: _WorkerHandle,
-                    control: MessageSocket) -> None:
-        """A control link closed.  If the worker really died with its
-        shard outstanding, fail it and record the crash; in recovery
-        mode, respawn it within the budget until the run winds down."""
-        if handle.control is not control:
-            return   # replaced by a same-incarnation reconnect
-        recovery = self.config.recovery
-        if recovery is None and self.watchdog is not None:
-            return   # the watchdog owns the verdict (_handle_stall)
-        if handle.shard is not None:
-            return   # reported: a normal exit
-        if handle.process is not None:
-            handle.process.join(timeout=1.5)
-            if handle.process.is_alive():
-                return   # live worker, dropped socket: re-dials or deadline
-        respawn = False
-        with self._lock:
-            if handle.failed or handle.shard is not None:
-                return
-            handle.failed = True
-            winding_down = recovery is None or self._closing.is_set()
-            if not winding_down:
-                key = (handle.role, handle.worker_id)
-                attempts = self._respawn_counts.get(key, 0)
-                respawn = (
-                    attempts < recovery.respawn.max_per_worker
-                    and self._respawns_total < recovery.respawn.max_total)
-                if respawn:
-                    self._respawn_counts[key] = attempts + 1
-                    self._respawns_total += 1
-                    self.result.respawns += 1
-                else:
-                    self.result.watchdog_stalls += 1
-        if self.cluster is not None:
-            self.cluster.record_crash(handle.role, handle.worker_id,
-                                      handle.incarnation,
-                                      reason="process died")
-        if winding_down:
-            return
-        if handle.role == ROLE_DISTRIBUTOR:
-            self._assigner.remove(handle)
-        if respawn:
-            threading.Thread(
-                target=self._respawn_worker,
-                args=(handle, attempts, handle.incarnation + 1),
-                daemon=True, name=f"respawn-{handle.name}").start()
 
     # -- self-healing mode (config.recovery is set) ------------------------
     #
@@ -1267,175 +1444,24 @@ class ProcessTopology:
             sent = self._store.sent_indices()
         return (sent & expected) - answered - live_sent
 
-    # -- adoption / respawn ------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        recovery = self.config.recovery
-        while not self._closing.is_set():
-            try:
-                newcomer = _accept_hello(self._listener, None,
-                                         recovery.hello_timeout)
-            except (TimeoutError, ProtocolError):
-                continue
-            except OSError:
-                return
-            self._adopt(newcomer)
-
-    def _adopt(self, newcomer: _WorkerHandle) -> None:
-        """Classify a late HELLO: reconnect of a live incarnation, or a
-        respawned worker taking over its slot."""
-        slots = (self.distributor_handles
-                 if newcomer.role == ROLE_DISTRIBUTOR
-                 else self.querier_handles)
-        with self._lock:
-            if not 0 <= newcomer.worker_id < len(slots):
-                newcomer.control.close()
-                return
-            current = slots[newcomer.worker_id]
-            if (newcomer.incarnation == current.incarnation
-                    and not current.failed):
-                # Same incarnation re-dialing after a dropped socket:
-                # swap the control link, keep every other field.
-                old = current.control
-                current.control = newcomer.control
-                old.close()
-                handle = current
-            elif newcomer.incarnation > current.incarnation:
-                newcomer.process = self._pending_processes.pop(
-                    (newcomer.role, newcomer.worker_id,
-                     newcomer.incarnation), None)
-                slots[newcomer.worker_id] = newcomer
-                self._retired_handles.append(current)
-                handle = newcomer
-                if self.watchdog is not None:
-                    self.watchdog.add_subject(newcomer)
-            else:
-                newcomer.control.close()
-                return
-        if handle is newcomer and newcomer.role == ROLE_DISTRIBUTOR:
-            attach_chaos(newcomer.control, self.config.recovery.chaos,
-                         newcomer.role, newcomer.worker_id,
-                         newcomer.incarnation, controller_side=True)
-            try:
-                newcomer.control.send_time_sync(self.result.trace_start)
-            except OSError:
-                pass
-            self._assigner.add(newcomer)
-        self._start_reader(handle)
-
-    def _respawn_worker(self, handle: _WorkerHandle, attempt: int,
-                        incarnation: int) -> None:
-        recovery = self.config.recovery
-        time.sleep(recovery.respawn.backoff(attempt))
-        if self._closing.is_set():
-            return
-        process = self._worker_process(handle.role, handle.worker_id,
-                                       incarnation, handle.listen_port)
-        pending_key = (handle.role, handle.worker_id, incarnation)
-        with self._lock:
-            if self._closing.is_set():
-                return
-            self._pending_processes[pending_key] = process
-            self._processes.append(process)
-        process.start()
-        # A respawn that dies before its HELLO is adopted would otherwise
-        # vanish silently (no reader thread watches it yet) — babysit it
-        # through the handshake and retry within the budget.
-        hello_deadline = time.monotonic() + recovery.hello_timeout
-        while time.monotonic() < hello_deadline:
-            if self._closing.is_set():
-                return
-            with self._lock:
-                if pending_key not in self._pending_processes:
-                    return   # adopted: the reader thread owns it now
-            if not process.is_alive():
-                break
-            time.sleep(0.05)
-        else:
-            return
-        with self._lock:
-            if (self._closing.is_set()
-                    or pending_key not in self._pending_processes):
-                return
-            del self._pending_processes[pending_key]
-            key = (handle.role, handle.worker_id)
-            attempts = self._respawn_counts.get(key, 0)
-            if (attempts >= recovery.respawn.max_per_worker
-                    or self._respawns_total >= recovery.respawn.max_total):
-                self.result.watchdog_stalls += 1
-                return
-            self._respawn_counts[key] = attempts + 1
-            self._respawns_total += 1
-            self.result.respawns += 1
-        self._respawn_worker(handle, attempts, incarnation + 1)
-
-
-def _teardown(handles: Sequence[_WorkerHandle], processes: Sequence) -> None:
-    """SHUTDOWN every worker, close its link, reap (terminate stragglers)."""
-    for handle in handles:
-        try:
-            handle.control.send_shutdown()
-        except OSError:
-            pass
-        handle.control.close()
-    for process in processes:
-        process.join(timeout=2.0)
-    for process in processes:
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout=2.0)
-
-
-def _collect_worker(handle: _WorkerHandle, deadline: float,
-                    cluster: Optional[ClusterAggregator] = None) -> None:
-    """Drain one worker's RESULT + METRICS pair (or mark it failed).
-
-    With a ``cluster``, interleaved TELEMETRY frames feed the
-    aggregator on the way (self-sourcing shards stream through the same
-    socket their RESULT arrives on — there is no separate reader).
-    """
-    if handle.failed:
-        return
-    handle.control.settimeout(max(deadline - time.monotonic(), 0.5))
-    try:
-        while handle.shard is None or handle.metrics_state is None:
-            message = handle.control.receive()
-            if message is None:
-                handle.failed = True
-                if cluster is not None and not handle.is_alive():
-                    cluster.record_crash(handle.role, handle.worker_id,
-                                         handle.incarnation)
-                return
-            kind, payload = message
-            if kind == MSG_RESULT:
-                handle.shard = ReplayResult.from_dict(payload)
-            elif kind == MSG_METRICS:
-                handle.metrics_state = payload
-            elif kind == MSG_TELEMETRY and cluster is not None:
-                cluster.ingest(payload)
-    except (TimeoutError, ProtocolError, OSError):
-        handle.failed = True
-        if cluster is not None and not handle.is_alive():
-            cluster.record_crash(handle.role, handle.worker_id,
-                                 handle.incarnation)
-    finally:
-        handle.control.settimeout(None)
-
 
 # ---------------------------------------------------------------------------
 # Sharded simulation controller
 # ---------------------------------------------------------------------------
 
-class ShardTopology:
+class ShardTopology(_Controller):
     """N self-sourcing simulation shards as real OS processes.
 
     The replicated-server shape of :mod:`repro.netsim.shard` deployed
-    over the PR-5 control plane: every worker regenerates the trace from
-    an importable factory spec, keeps only its
-    ``shard_of(record.src, num_shards)`` slice, replays it against its
-    own in-process server replica, and reports a RESULT + METRICS pair
-    back.  The controller's job is spawn / HELLO / collect / merge —
-    no trace bytes ever cross the process boundary.
+    over the same control plane as :class:`ProcessTopology`: every
+    worker regenerates the trace from an importable factory spec, keeps
+    only its ``shard_of(record.src, num_shards)`` slice, replays it
+    against its own in-process server replica, and reports a RESULT +
+    METRICS pair back.  The controller spawns, reads, respawns (in
+    recovery mode) and merges — no trace bytes ever cross the process
+    boundary.  A respawned shard redoes its whole slice: a shard's
+    replay is deterministic for its slice, so its RESULT simply replaces
+    the one the dead incarnation never sent.
 
     Determinism: the merged :class:`ReplayResult` is the union of the
     per-shard results merged in shard-id order, and each shard's result
@@ -1453,6 +1479,7 @@ class ShardTopology:
                  telemetry_config: Optional[TelemetryConfig] = None):
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
+        super().__init__(recovery, start_method)
         self.num_shards = num_shards
         self.trace_factory = (trace_factory[0], trace_factory[1],
                               dict(trace_factory[2]))
@@ -1472,136 +1499,43 @@ class ShardTopology:
             if self.telemetry_config is not None else None)
         self.result = ReplayResult("sharded-replay")
         self.metrics = MetricsRegistry()
-        self.shard_handles: List[_WorkerHandle] = []
+        self.shard_handles = self._tier(ROLE_SHARD)
         self.wall_s: Optional[float] = None     # controller wall clock
         self.shard_walls: List[Optional[float]] = []
         self.lost_shards = 0
         self.respawns = 0
 
-    def _spawn_shard(self, ctx, control_addr, shard_index: int,
-                     incarnation: int = 0):
-        process = ctx.Process(
+    def _worker_process(self, role: int, worker_id: int,
+                        incarnation: int = 0, listen_port: int = 0):
+        """Build (not start) one shard's Process: the only place a
+        shard's argv is assembled, first spawns and respawns alike."""
+        return self._ctx.Process(
             target=_shard_main,
-            args=(control_addr, shard_index, self.num_shards,
+            args=(self._control_addr, worker_id, self.num_shards,
                   self.trace_factory, self.scenario_factory,
                   self.recovery, incarnation, self.telemetry_config),
-            daemon=True,
-            name=f"replay-shard-{shard_index}"
-                 + (f"r{incarnation}" if incarnation else ""))
-        process.start()
-        return process
+            daemon=True, name=_process_name(role, worker_id, incarnation))
 
     def replay(self) -> ReplayResult:
-        ctx = _mp_context(self.start_method)
-        processes = []
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         started = time.perf_counter()
-        hello_timeout = (_SETUP_TIMEOUT if self.recovery is None
-                         else self.recovery.hello_timeout)
-        try:
-            listener.bind(("127.0.0.1", 0))
-            listener.listen(self.num_shards)
-            listener.settimeout(hello_timeout)
-            control_addr = listener.getsockname()
-            for shard_index in range(self.num_shards):
-                processes.append(
-                    self._spawn_shard(ctx, control_addr, shard_index))
-            by_id: Dict[int, _WorkerHandle] = {}
-            for _ in range(self.num_shards):
-                handle = _accept_hello(listener, ROLE_SHARD, hello_timeout)
-                handle.process = processes[handle.worker_id]
-                by_id[handle.worker_id] = handle
-            self.shard_handles = [by_id[i] for i in range(self.num_shards)]
-        except Exception:
-            for process in processes:
-                if process.is_alive():
-                    process.terminate()
-            listener.close()
-            raise
-        if self.recovery is None:
-            listener.close()
-
-        deadline = time.monotonic() + self.collect_timeout
-        for handle in self.shard_handles:
-            _collect_worker(handle, deadline, self.cluster)
-        if self.recovery is not None:
-            # Shards are self-sourcing (each regenerates its own slice),
-            # so recovery is simply: respawn a failed shard with a fresh
-            # incarnation and collect again, within the budget.
-            try:
-                self._respawn_failed_shards(ctx, processes,
-                                            listener.getsockname(),
-                                            listener, deadline)
-            finally:
-                listener.close()
+        self._spawn(((ROLE_SHARD, self.num_shards),))
+        self._start_readers()
+        self._await_results(time.monotonic() + self.collect_timeout)
         self.wall_s = time.perf_counter() - started
+        self.respawns = self._respawns_total
 
-        self.shard_walls = []
+        # Shard-id order; each shard numbers its slice from zero and
+        # merge re-indexes past the tail (the indices overlap, so this
+        # is never merge_recovered).
         for handle in self.shard_handles:
             if handle.shard is not None:
                 self.result.merge(handle.shard)
-            else:
-                self.lost_shards += 1
-            state = handle.metrics_state
-            if state is not None:
-                self.metrics.merge_state(state)
-                self.shard_walls.append(state.get("gauges", {}).get(
-                    f"shard.{handle.worker_id}.wall_s"))
-            else:
-                self.shard_walls.append(None)
-        if self.lost_shards:
-            self.metrics.incr("multiproc.lost_shards", self.lost_shards)
-        self.metrics.incr("multiproc.shards", len(self.shard_handles))
-        if self.respawns:
-            self.result.respawns += self.respawns
-            self.metrics.incr("multiproc.respawns", self.respawns)
-
-        _teardown(self.shard_handles, processes)
+            gauges = (handle.metrics_state or {}).get("gauges", {})
+            self.shard_walls.append(
+                gauges.get(f"shard.{handle.worker_id}.wall_s"))
+        self.lost_shards = self._merge_metrics("multiproc.shards")
+        self._teardown()
         return self.result
-
-    def _respawn_failed_shards(self, ctx, processes, control_addr,
-                               listener: socket.socket,
-                               deadline: float) -> None:
-        """Respawn dead shards with fresh incarnations, within budget.
-
-        A shard's replay is deterministic for its slice, so a respawned
-        incarnation redoes the whole slice and its RESULT simply
-        replaces the one the dead incarnation never sent — no partial
-        state to reconcile.
-        """
-        recovery = self.recovery
-        per_worker: Dict[int, int] = {}
-        while time.monotonic() < deadline:
-            failed = [handle for handle in self.shard_handles
-                      if handle.failed and handle.shard is None
-                      and per_worker.get(handle.worker_id, 0)
-                      < recovery.respawn.max_per_worker
-                      and self.respawns < recovery.respawn.max_total]
-            if not failed:
-                return
-            pending: Dict[Tuple[int, int], object] = {}
-            for handle in failed:
-                attempt = per_worker.get(handle.worker_id, 0)
-                per_worker[handle.worker_id] = attempt + 1
-                self.respawns += 1
-                time.sleep(recovery.respawn.backoff(attempt))
-                incarnation = handle.incarnation + 1
-                process = self._spawn_shard(ctx, control_addr,
-                                            handle.worker_id, incarnation)
-                processes.append(process)
-                pending[(handle.worker_id, incarnation)] = process
-            for _ in range(len(pending)):
-                try:
-                    newcomer = _accept_hello(listener, ROLE_SHARD,
-                                             recovery.hello_timeout)
-                except (TimeoutError, ProtocolError):
-                    continue   # died pre-HELLO: next loop pass retries
-                old = self.shard_handles[newcomer.worker_id]
-                old.control.close()
-                newcomer.process = pending.get(
-                    (newcomer.worker_id, newcomer.incarnation))
-                self.shard_handles[newcomer.worker_id] = newcomer
-                _collect_worker(newcomer, deadline, self.cluster)
 
     def aggregate_qps(self) -> Optional[float]:
         """Aggregate queries/second over the controller's wall clock.

@@ -287,9 +287,6 @@ class ReplayResult:
                     del ranks[key]
         return summary
 
-    def unanswered_queries(self) -> List[SentQuery]:
-        return [q for q in self.sent if q.answered_at is None]
-
     def failure_counts(self) -> Dict[str, int]:
         """Every failure/recovery event counter, for reports."""
         return {

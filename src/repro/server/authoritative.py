@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..dns import (AnswerKind, Edns, Flag, Message, Name, Opcode, Question,
                    RRClass, RRType, RRset, Rcode, UDP_PAYLOAD_LIMIT, Zone)
 from ..netsim.packet import WireView
-from ..perf import PerfCounters
+from ..telemetry.metrics import MetricsRegistry
 from .wirecache import ResponseWireCache, WireCacheEntry
 
 
@@ -93,10 +93,6 @@ class ZoneSet:
     def zones(self) -> List[Zone]:
         return list(self._zones.values())
 
-    def zone_at(self, origin: Name) -> Optional[Zone]:
-        """The zone with exactly this origin, if hosted."""
-        return self._zones.get(origin)
-
     def __len__(self) -> int:
         return len(self._zones)
 
@@ -133,13 +129,13 @@ class AuthoritativeServer:
     ``wire_cache`` caches encoded responses for the :meth:`serve_wire`
     fast path; it is on by default and can be disabled by passing
     ``wire_cache=None``.  ``perf`` optionally records cache and encode
-    counters into a :class:`repro.perf.PerfCounters` registry.
+    counters into a :class:`repro.telemetry.MetricsRegistry`.
     """
 
     def __init__(self, views: Optional[Sequence[View]] = None,
                  minimal_responses: bool = True, dynamic=None,
                  wire_cache=_DEFAULT_CACHE,
-                 perf: Optional[PerfCounters] = None):
+                 perf: Optional[MetricsRegistry] = None):
         self.views: List[View] = list(views) if views is not None else []
         self.minimal_responses = minimal_responses
         self.dynamic = dynamic
@@ -154,9 +150,6 @@ class AuthoritativeServer:
     @classmethod
     def single_view(cls, zones: Iterable[Zone]) -> "AuthoritativeServer":
         return cls([View("default", ZoneSet(zones))])
-
-    def add_view(self, view: View) -> None:
-        self.views.append(view)
 
     def view_for(self, source: str) -> Optional[View]:
         for view in self.views:

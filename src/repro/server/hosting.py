@@ -15,7 +15,7 @@ from typing import Callable, Dict, Optional
 from ..dns import DNS_OVER_TLS_PORT, DNS_PORT, Message, Rcode, WireError
 from ..netsim import (Host, NetworkError, ServerResourceModel,
                       TcpConnection, TcpOptions, TcpStack, TlsEndpoint)
-from ..perf import PerfCounters
+from ..telemetry.metrics import MetricsRegistry
 from ..telemetry import Telemetry
 from .dnsio import FramingError, StreamFramer, frame_message
 from .overload import OverloadConfig, OverloadControl, minimal_wire
@@ -51,12 +51,12 @@ class HostedDnsServer:
     def __init__(self, host: Host, engine, config: Optional[TransportConfig] = None,
                  resources: Optional[ServerResourceModel] = None,
                  address: Optional[str] = None,
-                 perf: Optional[PerfCounters] = None,
+                 perf: Optional[MetricsRegistry] = None,
                  overload: Optional[OverloadConfig] = None,
                  telemetry: Optional[Telemetry] = None):
         self.host = host
         self.engine = engine
-        self.perf = perf if perf is not None else PerfCounters()
+        self.perf = perf if perf is not None else MetricsRegistry()
         if getattr(engine, "perf", None) is None and hasattr(engine, "perf"):
             engine.perf = self.perf
         # Per-query hooks are installed only when the hub records per

@@ -1,13 +1,12 @@
 """Metric primitives: counters, timings, gauges, and log-bucketed histograms.
 
 :class:`MetricsRegistry` is the storage layer behind every measurement
-the pipeline takes.  It keeps the three flat kinds
-:class:`repro.perf.PerfCounters` always had — monotonic **counters**,
-accumulated wall-clock **timings**, last-write-wins **gauges** — and adds
-**histograms**: log-bucketed distributions with quantile extraction, the
-representation Figures 6/15 (timing-error and latency CDFs) actually
-need.  ``PerfCounters`` is now a thin facade over this class, so every
-counter the hot paths already increment lands here unchanged.
+the pipeline takes.  It keeps three flat kinds — monotonic
+**counters**, accumulated wall-clock **timings**, last-write-wins
+**gauges** — and adds **histograms**: log-bucketed distributions with
+quantile extraction, the representation Figures 6/15 (timing-error and
+latency CDFs) actually need.  Every hot-path component takes a registry
+directly (``repro.perf.PerfCounters`` is only an alias of this class).
 
 Histogram buckets grow geometrically (default 1.25x from 1 µs), so the
 whole latency range from microseconds to minutes fits in ~100 sparse

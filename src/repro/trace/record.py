@@ -78,11 +78,6 @@ class QueryRecord:
     def with_(self, **changes) -> "QueryRecord":
         return replace(self, **changes)
 
-    def size_on_wire(self) -> int:
-        """Approximate bytes on the wire including headers."""
-        transport_header = 8 if self.protocol == "udp" else 20
-        return 20 + transport_header + len(self.wire)
-
 
 class Trace:
     """An ordered sequence of records plus provenance metadata."""

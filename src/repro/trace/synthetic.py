@@ -310,6 +310,55 @@ class BRootWorkload:
     )
 
     def generate(self) -> Trace:
+        records: List[QueryRecord] = []
+        for _arrival, burst in self._bursts():
+            records.extend(burst)
+        trace = Trace(records, name=self.name)
+        trace.sort()
+        return trace
+
+    def generate_stream(self) -> Iterator[QueryRecord]:
+        """Yield the workload in timestamp order with bounded memory.
+
+        Record-for-record identical to :meth:`generate` — both consume
+        the one RNG sequence of :meth:`_bursts`, so the same seed
+        produces the same records in the same order — but a 10⁸-query
+        trace streams through a small reorder buffer instead of
+        existing as a list.  The only difference is ordering machinery:
+        :meth:`generate` appends then stable-sorts, while this keeps a
+        heap keyed ``(timestamp, generation order)`` — the same total
+        order a stable sort produces.
+
+        Companion (burst) queries are generated up to one burst span
+        ahead of the arrival process, so the heap can only flush
+        records older than the newest arrival: every future record is
+        stamped after it (companions clamp at ``duration - 1e-6``,
+        hence the threshold).  Heap occupancy is roughly
+        ``mean_rate × burst span`` — thousands of records at B-Root
+        rates, never the trace.
+        """
+        heap: List[Tuple[float, int, QueryRecord]] = []
+        seq = 0
+        for arrival, burst in self._bursts():
+            for record in burst:
+                heapq.heappush(heap, (record.timestamp, seq, record))
+                seq += 1
+            # Safe to emit anything older than every record still to
+            # come: future arrivals land after ``arrival`` and future
+            # companions never stamp before ``duration - 1e-6``.
+            threshold = min(arrival, self.duration - 1e-6)
+            while heap and heap[0][0] < threshold:
+                yield heapq.heappop(heap)[2]
+        while heap:
+            yield heapq.heappop(heap)[2]
+
+    def _bursts(self) -> Iterator[Tuple[float, List[QueryRecord]]]:
+        """The workload's one RNG sequence, one arrival at a time.
+
+        Yields each arrival's time and the records it starts, in
+        generation order: the query itself, then its burst companions
+        (stamped after it, clamped to the trace).
+        """
         rng = random.Random(self.seed)
         clients, weights = self._client_population(rng)
         cumulative = _cumulative(weights)
@@ -317,7 +366,6 @@ class BRootWorkload:
         qtypes = [qtype for qtype, _weight in self.QTYPE_MIX]
         qtype_cum = _cumulative([weight for _qtype, weight in self.QTYPE_MIX])
 
-        records: List[QueryRecord] = []
         now = 0.0
         index = 0
         # Thin the arrival process so initial + companion queries total
@@ -343,9 +391,8 @@ class BRootWorkload:
                 edns=Edns(dnssec_ok=dnssec) if dnssec or rng.random() < 0.9
                 else None)
             sport = 1024 + (hash(client) + index) % 60000
-            records.append(QueryRecord(
-                now, client, sport, self.server, DNS_PORT, protocol,
-                message.to_wire()))
+            burst = [QueryRecord(now, client, sport, self.server, DNS_PORT,
+                                 protocol, message.to_wire())]
             index += 1
             companion_time = now
             continue_probability = self.burst_fraction
@@ -358,98 +405,13 @@ class BRootWorkload:
                     Name.from_text(qname), companion_type,
                     msg_id=(index % 0xFFFF) + 1, recursion_desired=False,
                     edns=Edns(dnssec_ok=dnssec))
-                records.append(QueryRecord(
+                burst.append(QueryRecord(
                     min(companion_time, self.duration - 1e-6), client,
                     sport, self.server, DNS_PORT, protocol,
                     companion.to_wire()))
                 index += 1
                 continue_probability = self.burst_continue
-        trace = Trace(records, name=self.name)
-        trace.sort()
-        return trace
-
-    def generate_stream(self) -> Iterator[QueryRecord]:
-        """Yield the workload in timestamp order with bounded memory.
-
-        Record-for-record identical to :meth:`generate` — the same seed
-        produces the same records in the same order — but a 10⁸-query
-        trace streams through a small reorder buffer instead of
-        existing as a list.  The RNG call sequence is kept exactly in
-        step with :meth:`generate`, so the only difference is ordering
-        machinery: :meth:`generate` appends then stable-sorts, while
-        this keeps a heap keyed ``(timestamp, generation order)`` —
-        the same total order a stable sort produces.
-
-        Companion (burst) queries are generated up to one burst span
-        ahead of the arrival process, so the heap can only flush
-        records older than the newest arrival: every future record is
-        stamped after it (companions clamp at ``duration - 1e-6``,
-        hence the threshold).  Heap occupancy is roughly
-        ``mean_rate × burst span`` — thousands of records at B-Root
-        rates, never the trace.
-        """
-        rng = random.Random(self.seed)
-        clients, weights = self._client_population(rng)
-        cumulative = _cumulative(weights)
-        tlds = _tld_names(self.tld_count)
-        qtypes = [qtype for qtype, _weight in self.QTYPE_MIX]
-        qtype_cum = _cumulative([weight for _qtype, weight in self.QTYPE_MIX])
-
-        heap: List[Tuple[float, int, QueryRecord]] = []
-        seq = 0
-        now = 0.0
-        index = 0
-        expected_companions = (self.burst_fraction
-                               / max(1.0 - self.burst_continue, 1e-6))
-        base_rate_fraction = 1.0 / (1.0 + expected_companions)
-        while now < self.duration:
-            rate = base_rate_fraction * self.mean_rate * (
-                1.0 + self.rate_swing
-                * math.sin(2 * math.pi * now / self.swing_period))
-            now += rng.expovariate(max(rate, 1e-9))
-            if now >= self.duration:
-                break
-            client = clients[_pick(cumulative, rng.random())]
-            qname = self._qname(rng, tlds, index)
-            qtype = qtypes[_pick(qtype_cum, rng.random())]
-            dnssec = rng.random() < self.do_fraction
-            protocol = "tcp" if rng.random() < self.tcp_fraction else "udp"
-            message = Message.make_query(
-                Name.from_text(qname), qtype,
-                msg_id=(index % 0xFFFF) + 1, recursion_desired=False,
-                edns=Edns(dnssec_ok=dnssec) if dnssec or rng.random() < 0.9
-                else None)
-            sport = 1024 + (hash(client) + index) % 60000
-            heapq.heappush(heap, (now, seq, QueryRecord(
-                now, client, sport, self.server, DNS_PORT, protocol,
-                message.to_wire())))
-            seq += 1
-            index += 1
-            companion_time = now
-            continue_probability = self.burst_fraction
-            while rng.random() < continue_probability:
-                companion_time += rng.uniform(*self.burst_gap_range)
-                companion_type = (RRType.AAAA if qtype == RRType.A
-                                  else RRType.A)
-                companion = Message.make_query(
-                    Name.from_text(qname), companion_type,
-                    msg_id=(index % 0xFFFF) + 1, recursion_desired=False,
-                    edns=Edns(dnssec_ok=dnssec))
-                stamped = min(companion_time, self.duration - 1e-6)
-                heapq.heappush(heap, (stamped, seq, QueryRecord(
-                    stamped, client, sport, self.server, DNS_PORT, protocol,
-                    companion.to_wire())))
-                seq += 1
-                index += 1
-                continue_probability = self.burst_continue
-            # Safe to emit anything older than every record still to
-            # come: future arrivals land after ``now`` and future
-            # companions never stamp before ``duration - 1e-6``.
-            threshold = min(now, self.duration - 1e-6)
-            while heap and heap[0][0] < threshold:
-                yield heapq.heappop(heap)[2]
-        while heap:
-            yield heapq.heappop(heap)[2]
+            yield now, burst
 
     def _client_population(self, rng: random.Random
                            ) -> Tuple[List[str], List[float]]:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..netsim import EventLoop, Network, TcpOptions, TcpStack, TcpState
-from ..perf import PerfCounters
+from ..telemetry.metrics import MetricsRegistry
 from ..server.overload import OverloadConfig, OverloadControl, RrlConfig
 
 # -- generic engine ---------------------------------------------------------
@@ -398,7 +398,7 @@ class AdmissionScenarioModel:
         from ..dns import Message, Name, RRType  # local: keep import light
 
         self.loop = EventLoop()
-        self.perf = PerfCounters()
+        self.perf = MetricsRegistry()
         config = OverloadConfig(
             queue_limit=limit, queue_policy=policy, service_rate=10.0,
             rrl=RrlConfig(responses_per_second=1.0, window=1.0)

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.perf import PerfCounters, get_counters, reset_counters
+from repro.perf import PerfCounters
 
 
 class TestCounters:
@@ -103,17 +103,6 @@ class TestAggregation:
         perf = PerfCounters()
         perf.incr("queries", 42)
         assert json.loads(perf.to_json()) == {"queries": 42}
-
-
-class TestGlobalRegistry:
-    def test_shared_instance(self):
-        reset_counters()
-        try:
-            get_counters().incr("x")
-            assert get_counters().count("x") == 1
-        finally:
-            reset_counters()
-        assert get_counters().count("x") == 0
 
 
 class TestReportRendering:

@@ -3,7 +3,8 @@ real wall-clock time on loopback."""
 
 import pytest
 
-from repro.replay import (LiveReplay, LiveUdpEchoServer, ThroughputReport,
+from repro.replay import (DistributedConfig, LiveDistributedReplay,
+                          LiveUdpEchoServer, ThroughputReport,
                           measure_throughput)
 from repro.trace import fixed_interval_trace
 
@@ -28,11 +29,18 @@ class TestEchoServer:
         assert reply[3:] == query[3:]
 
 
+def _live_replay(server):
+    """Timed live replay through a one-distributor, one-querier tree."""
+    return LiveDistributedReplay(
+        (server.address, server.port),
+        DistributedConfig(distributors=1, queriers_per_distributor=1))
+
+
 class TestLiveReplay:
     def test_short_replay_accuracy(self):
         trace = fixed_interval_trace(0.02, 0.6, name="live-test")
         with LiveUdpEchoServer() as server:
-            live = LiveReplay((server.address, server.port))
+            live = _live_replay(server)
             result = live.replay(trace)
         assert len(result) == len(trace)
         # Real timers on loopback: errors should be well under 20 ms.
@@ -44,11 +52,21 @@ class TestLiveReplay:
     def test_latency_measured(self):
         trace = fixed_interval_trace(0.05, 0.3, name="live-lat")
         with LiveUdpEchoServer() as server:
-            live = LiveReplay((server.address, server.port))
+            live = _live_replay(server)
             result = live.replay(trace)
         latencies = result.latencies()
         assert latencies
         assert all(0 < latency < 0.5 for latency in latencies)
+
+    def test_responses_matched_while_later_sends_wait(self):
+        # Once the stream has ended the querier sleeps between timed
+        # sends; responses must still be matched meanwhile, or every
+        # latency grows to the rest of the trace.
+        trace = fixed_interval_trace(0.05, 1.0, name="live-wait")
+        with LiveUdpEchoServer() as server:
+            result = _live_replay(server).replay(trace)
+        assert result.answered_fraction() == 1.0
+        assert max(result.latencies()) < 0.2
 
 
 class TestThroughput:

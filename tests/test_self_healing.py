@@ -7,6 +7,7 @@ result, and — under the ``chaos`` marker — real process trees with
 deterministic crashes and SIGKILLs that must conserve every record.
 """
 
+import contextlib
 import os
 import signal
 import threading
@@ -19,10 +20,11 @@ from repro.replay import (ChaosConfig, ChaosEngine, CheckpointPolicy,
                           ProcessTopology, RecoveryConfig, RespawnPolicy,
                           ShardTopology, UdpEchoServerProcess,
                           conservation_violations, merge_recovered,
-                          reconnect_with_backoff)
+                          reconnect_with_backoff, shard_slice)
 from repro.replay.protocol import (MSG_END, MSG_RECORD, MSG_RESULT,
-                                   ROLE_QUERIER)
-from repro.trace import fixed_interval_trace
+                                   ROLE_QUERIER, ROLE_SHARD)
+from repro.telemetry import TelemetryConfig
+from repro.trace import fixed_interval_trace, zipf_trace
 from repro.verify.generators import (HAVE_HYPOTHESIS, checkpoint_deliveries,
                                      checkpoint_emission_history)
 
@@ -333,3 +335,75 @@ class TestCrashRecoveryEndToEnd:
         assert topology.lost_shards == 0
         assert topology.respawns == 2
         assert result.respawns == 2
+
+    def test_crashed_shard_is_rerun_while_another_is_wedged(self):
+        """A dead shard is respawned as soon as its reader sees EOF, not
+        after every other shard reports: with shard 0 SIGSTOPped and
+        shard 1 SIGKILLed, shard 1's rerun lands its whole slice and
+        only the wedged shard is lost."""
+        trace_kwargs = {"query_count": 10000, "client_count": 16,
+                        "server": "10.0.0.2"}
+        topology = ShardTopology(
+            2, trace_factory=("repro.trace.synthetic", "zipf_trace",
+                              trace_kwargs),
+            recovery=RecoveryConfig(), collect_timeout=6.0)
+        stopped = []
+
+        def saboteur():
+            deadline = time.monotonic() + 30.0
+            while (len(topology.shard_handles) < 2
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            time.sleep(0.3)
+            wedged, victim = topology.shard_handles
+            os.kill(wedged.pid, signal.SIGSTOP)
+            stopped.append(wedged.pid)
+            os.kill(victim.pid, signal.SIGKILL)
+
+        thread = threading.Thread(target=saboteur, daemon=True)
+        thread.start()
+        try:
+            result = topology.replay()
+        finally:
+            thread.join(timeout=5.0)
+            # terminate() cannot reap a stopped process.
+            for pid in stopped:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+        assert not thread.is_alive()
+        assert topology.lost_shards == 1
+        assert topology.respawns == 1
+        slice_ = shard_slice(zipf_trace(**trace_kwargs), 1, 2)
+        assert len(result.sent) == len(slice_.records) > 0
+        assert result.answered_fraction() == 1.0
+
+    def test_streaming_shards_report_to_the_cluster_view(self):
+        """Shard telemetry reaches topology.cluster live, and a killed
+        shard leaves a crash report there."""
+        topology = ShardTopology(
+            2, trace_factory=("repro.trace.synthetic", "zipf_trace",
+                              {"query_count": 10000, "client_count": 16,
+                               "server": "10.0.0.2"}),
+            collect_timeout=60.0,
+            telemetry_config=TelemetryConfig(stream_period=0.05))
+
+        def assassin():
+            deadline = time.monotonic() + 30.0
+            while (len(topology.shard_handles) < 2
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            time.sleep(0.3)
+            os.kill(topology.shard_handles[1].pid, signal.SIGKILL)
+
+        thread = threading.Thread(target=assassin, daemon=True)
+        thread.start()
+        topology.replay()
+        thread.join(timeout=5.0)
+        assert topology.lost_shards == 1
+        views = {(view.role, view.worker_id): view
+                 for view in topology.cluster.workers()}
+        assert set(views) == {(ROLE_SHARD, 0), (ROLE_SHARD, 1)}
+        assert views[(ROLE_SHARD, 0)].frames > 0
+        assert views[(ROLE_SHARD, 1)].crashed
+        assert [report["worker"]
+                for report in topology.cluster.crash_reports()] == ["shard-1"]
